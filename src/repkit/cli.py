@@ -9,6 +9,9 @@
     repkit generate --k 2 --h 22 --variant 1 [-o OUT]
     repkit stats    [--table | --k K --h H [--variant V]] [--json]
     repkit verify   --k K --h H --variant V [--level formulas|hardness]
+
+Exit codes: 0 success, 1 failed verification, 2 bad arguments, 3 malformed
+DIMACS input, 4 size budget exceeded, 5 other invalid input.
 """
 
 from __future__ import annotations
@@ -21,8 +24,10 @@ from . import bench, core, mps, reductions, translate, trees, trigger
 
 
 def _read_clauses(path: str) -> tuple[list[core.Clause], str]:
-    text = sys.stdin.read() if path == "-" else open(path).read()
-    return core.parse_dimacs(text)
+    if path == "-":
+        return core.parse_dimacs(sys.stdin.read())
+    with open(path) as fh:
+        return core.parse_dimacs(fh.read())
 
 
 def _write(text: str, out: str | None) -> None:
@@ -268,7 +273,19 @@ def main(argv: list[str] | None = None) -> int:
         ap.error("stats needs --table or both --k and --h")
     if args.cmd == "translate" and args.mode == "xor" and not args.xor:
         ap.error("--mode xor needs --xor 'lits'")
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except core.DimacsError as e:
+        return _fail(e, 3)
+    except core.SizeLimitExceeded as e:
+        return _fail(e, 4)
+    except ValueError as e:
+        return _fail(e, 5)
+
+
+def _fail(e: Exception, code: int) -> int:
+    print(f"repkit: {e}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

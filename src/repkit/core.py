@@ -225,6 +225,7 @@ def parse_dimacs(text: str) -> tuple[list[Clause], str]:
     fmt = None
     nvars = nclauses = 0
     pending: list[int] = []
+    ints: dict[str, int] = {}  # one int object per distinct token
     for lineno, raw in enumerate(text.splitlines(), start=1):
         s = raw.strip()
         if not s or s.startswith("c"):
@@ -244,17 +245,19 @@ def parse_dimacs(text: str) -> tuple[list[Clause], str]:
         if fmt is None:
             raise DimacsError(f"line {lineno}: clause before problem line")
         try:
-            lits = [int(x) for x in s.split()]
+            lits = [ints[x] if x in ints else ints.setdefault(x, int(x)) for x in s.split()]
         except ValueError:
             raise DimacsError(f"line {lineno}: bad token in {s!r}") from None
-        pending.extend(lits)
-        while 0 in pending:
-            i = pending.index(0)
+        start = 0  # lits[start:] is not yet part of a clause
+        for _ in range(lits.count(0)):
+            end = lits.index(0, start)
             try:
-                clauses.append(clause(*pending[:i]))
+                clauses.append(clause(*pending, *lits[start:end]))
             except ValueError as e:
                 raise DimacsError(f"line {lineno}: {e}") from None
-            pending = pending[i + 1:]
+            pending = []
+            start = end + 1
+        pending += lits[start:]
     if fmt is None:
         raise DimacsError("missing problem line")
     if pending:

@@ -12,6 +12,17 @@ r_{k-1} refutes <x -> 0> * F.  Refutation levels of the three hierarchies:
 
 Literal scans run in a fixed order (ascending variable, positive literal
 first), so results are reproducible; verdicts are order-independent anyway.
+
+r_1 (`propagate_units`) works on frozensets: it is cheapest for the many tiny
+clause-sets that r_inf, DPLL and phd at hd <= 1 see.  From k = 2 on, `reduce_r`
+and `refutation_level` run on `_Trail`, one mutable engine per call: clause
+lists with two watched literals each (Moskewicz et al., "Chaff", DAC 2001), a
+value per literal, and an assignment trail with undo.  Failed literals are
+probed by push, propagate and pop on that trail (Lynce and Marques-Silva,
+ICTAI 2003), recursing on the same trail for the r_{k-1} test, so no probe
+rebuilds the clause-set.  r_k is confluent, so the trail's final assignment
+applied to F is exactly r_k(F).  The only module-level memos left are those of
+r_inf and whd, emptied by `clear_caches`.
 """
 
 from __future__ import annotations
@@ -25,13 +36,11 @@ from .core import (
     is_satisfiable, literals, single, total_assignments, variables,
 )
 
-_R_MEMO: dict[tuple[int, ClauseSet], ClauseSet] = {}
 _RINF_MEMO: dict[ClauseSet, ClauseSet] = {}
 _WREF_MEMO: dict[ClauseSet, int] = {}
 
 
 def clear_caches() -> None:
-    _R_MEMO.clear()
     _RINF_MEMO.clear()
     _WREF_MEMO.clear()
 
@@ -62,6 +71,147 @@ def propagate_units(f: ClauseSet) -> ClauseSet:
         f = apply_assignment(phi, f)
 
 
+class _Trail:
+    """Mutable r_k state of one clause-set: two watched literals per clause,
+    a value per literal and an assignment trail with undo.
+
+    Literal codes are 2*i (variable number i true) and 2*i + 1 (false), with
+    variables numbered 1.. in ascending order; code ^ 1 is the complement.
+    Every public method leaves the trail unit-propagated (or refuted).
+    """
+
+    def __init__(self, f: ClauseSet) -> None:
+        self.vars = sorted(variables(f))
+        index = {v: i for i, v in enumerate(self.vars, start=1)}
+        size = 2 * len(self.vars) + 2
+        self.value = [0] * size          # +1 true, -1 false, 0 unassigned
+        self.watches: list[list[int]] = [[] for _ in range(size)]
+        self.clauses: list[list[int]] = []
+        self.trail: list[int] = []
+        self.head = 0                    # trail[:head] is propagated
+        self.refuted = BOT in f
+        units = []
+        for c in f:
+            codes = [2 * index[abs(x)] + (x < 0) for x in c]
+            if len(codes) == 1:
+                units.append(codes[0])
+            elif codes:
+                self.watches[codes[0]].append(len(self.clauses))
+                self.watches[codes[1]].append(len(self.clauses))
+                self.clauses.append(codes)
+        for u in units:
+            self.refuted = self.refuted or not self._push(u)
+
+    def _push(self, lit: int) -> bool:
+        """Assign lit and propagate; False on a conflict."""
+        v = self.value[lit]
+        if v:
+            return v > 0
+        self.value[lit] = 1
+        self.value[lit ^ 1] = -1
+        self.trail.append(lit)
+        return self._propagate()
+
+    def _propagate(self) -> bool:
+        """Unit propagation from trail[head:]; False on a conflict."""
+        value, watches, clauses, trail = self.value, self.watches, self.clauses, self.trail
+        head = self.head
+        while head < len(trail):
+            false = trail[head] ^ 1
+            head += 1
+            ws = watches[false]
+            i = j = 0
+            n = len(ws)
+            while i < n:
+                ci = ws[i]
+                i += 1
+                c = clauses[ci]
+                if c[0] == false:
+                    c[0], c[1] = c[1], false
+                other = c[0]
+                if value[other] > 0:
+                    ws[j] = ci
+                    j += 1
+                    continue
+                for p in range(2, len(c)):
+                    lit = c[p]
+                    if value[lit] >= 0:
+                        c[1], c[p] = lit, false
+                        watches[lit].append(ci)
+                        break
+                else:
+                    ws[j] = ci
+                    j += 1
+                    if value[other] < 0:
+                        del ws[j:i]  # keep the watchers not yet visited
+                        self.head = len(trail)
+                        return False
+                    value[other] = 1
+                    value[other ^ 1] = -1
+                    trail.append(other)
+            del ws[j:]
+        self.head = head
+        return True
+
+    def _undo(self, mark: int) -> None:
+        value, trail = self.value, self.trail
+        for lit in trail[mark:]:
+            value[lit] = value[lit ^ 1] = 0
+        del trail[mark:]
+        self.head = mark
+
+    def _close(self, k: int) -> bool:
+        """Bring the propagated trail to an r_k fixpoint; False if refuted.
+
+        Failed-literal probing: <x -> 0> is pushed, brought to an r_{k-1}
+        fixpoint on this same trail, and popped again; when that refutes it,
+        x -> 1 is kept.  The scan is circular and stops
+        after a full round without a failed literal.  A literal that a
+        surviving probe of this round put on the trail cannot fail: its own
+        probe would reach a sub-assignment of that probe's r_{k-1} fixpoint.
+        """
+        if k < 2:
+            return True
+        value, trail = self.value, self.trail
+        lits = range(2, len(value))      # variable 1 true, 1 false, 2 true, ...
+        implied = [0] * len(value)       # round in which a probe reached it
+        rnd = 1
+        quiet = i = 0
+        while quiet < len(lits):
+            x = lits[i]
+            i = i + 1 if i + 1 < len(lits) else 0
+            quiet += 1
+            if value[x] or implied[x ^ 1] == rnd:
+                continue
+            mark = len(trail)
+            if self._push(x ^ 1) and (k == 2 or self._close(k - 1)):
+                for y in trail[mark:]:
+                    implied[y] = rnd
+                self._undo(mark)
+                continue
+            self._undo(mark)
+            if not self._push(x):
+                return False
+            rnd += 1
+            quiet = 0
+        return True
+
+    def raise_to(self, k: int) -> int | None:
+        """Close the trail under r_2, r_3, ..., r_k in turn; the first level
+        that refutes F (1 when r_1 already does), or None."""
+        if self.refuted:
+            return 1
+        for j in range(2, k + 1):
+            if not self._close(j):
+                return j
+        return None
+
+    def image(self, f: ClauseSet) -> ClauseSet:
+        """F under the trail's assignment."""
+        phi = {self.vars[(lit >> 1) - 1]: 1 - (lit & 1) for lit in self.trail}
+        return apply_assignment(phi, f)
+
+
 def reduce_r(f: ClauseSet, k: int) -> ClauseSet:
     """The reduction r_k(F)."""
     if k < 0:
@@ -70,20 +220,8 @@ def reduce_r(f: ClauseSet, k: int) -> ClauseSet:
         return BOT_SET if BOT in f else f
     if k == 1:
         return propagate_units(f)
-    key = (k, f)
-    hit = _R_MEMO.get(key)
-    if hit is not None:
-        return hit
-    g = propagate_units(f)  # r_1 steps are in particular r_k steps
-    while g is not BOT_SET:
-        for x in _scan(g):
-            if reduce_r(apply_assignment(single(x, 0), g), k - 1) == BOT_SET:
-                g = propagate_units(apply_assignment(single(x, 1), g))
-                break
-        else:
-            break
-    _R_MEMO[key] = g
-    return g
+    t = _Trail(f)
+    return BOT_SET if t.raise_to(k) is not None else t.image(f)
 
 
 def reduce_r_inf(f: ClauseSet) -> ClauseSet:
@@ -109,11 +247,19 @@ def reduce_r_inf(f: ClauseSet) -> ClauseSet:
 
 
 def refutation_level(f: ClauseSet) -> int:
-    """hd(F) for unsatisfiable F: minimal k with r_k(F) = {bot}."""
-    for k in range(len(variables(f)) + 1):
-        if reduce_r(f, k) == BOT_SET:
-            return k
-    raise ValueError("refutation_level requires an unsatisfiable clause-set")
+    """hd(F) for unsatisfiable F: minimal k with r_k(F) = {bot}.
+
+    Levels 0 and 1 are decided without a trail; from level 2 on one trail
+    is raised level by level, each fixpoint starting the next.
+    """
+    if BOT in f:
+        return 0
+    if propagate_units(f) is BOT_SET:
+        return 1
+    level = _Trail(f).raise_to(len(variables(f)))
+    if level is None:
+        raise ValueError("refutation_level requires an unsatisfiable clause-set")
+    return level
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,15 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from math import comb
 
-from .core import Clause, ClauseSet, complement
+from .core import Clause, ClauseSet, SizeLimitExceeded, complement
 from .reductions import clause_key
 from .trees import Tree, leaf_count, inner_count, tree_clauses
+
+# depth_k_incomparable_family lists every implicate of the doped tree; a tree
+# with more than this many is refused before the list is built.
+_MAX_IMPLICATES = 1 << 20
 
 
 @dataclass
@@ -212,21 +217,19 @@ def depth_k_incomparable_family(t: Tree, k: int) -> DisjointEdgeCertificate:
 
     Sperner construction: take all floor(m/2)-subsets of the leaves of a
     minimal depth-k subtree (m leaves) and transport them injectively into
-    every other depth-k subtree.
+    every other depth-k subtree.  The check lists all 2^leaves - 1 implicates,
+    so trees with more than _MAX_IMPLICATES of them are refused up front.
     """
+    n_implicates = (1 << leaf_count(t)) - 1
+    if n_implicates > _MAX_IMPLICATES:
+        raise SizeLimitExceeded(
+            f"depth_k_incomparable_family over {n_implicates} > {_MAX_IMPLICATES} implicates")
     blocks = _depth_k_leaf_blocks(t, k)
     m = min(len(b) for b in blocks)
     r = m // 2
-    base_idx = min(range(len(blocks)), key=lambda i: len(blocks[i]))
-    base_subsets = list(itertools.combinations(blocks[base_idx], r))
-    leaf_sets = []
-    for pos, v0 in enumerate(base_subsets):
-        v = set(v0)
-        for i, b in enumerate(blocks):
-            if i == base_idx:
-                continue
-            v |= set(next(itertools.islice(itertools.combinations(b, r), pos, None)))
-        leaf_sets.append(frozenset(v))
+    count = comb(m, r)
+    subsets = [list(itertools.islice(itertools.combinations(b, r), count)) for b in blocks]
+    leaf_sets = [frozenset(i for s in subsets for i in s[pos]) for pos in range(count)]
 
     implicates = list(doped_tree_implicates(t))
     edge_clauses = []

@@ -11,8 +11,9 @@ from __future__ import annotations
 import itertools
 
 from repkit import (
-    BOT, Clause, ClauseSet, LEAF, Tree, apply_assignment, is_satisfiable,
-    reduce_r, reduce_r_inf, refutation_level, variables,
+    BOT, BOT_SET, Clause, ClauseSet, LEAF, Tree, apply_assignment,
+    is_satisfiable, literals, reduce_r, reduce_r_inf, refutation_level,
+    variables,
 )
 
 
@@ -76,6 +77,56 @@ def phd_by_definition(f: ClauseSet) -> int:
     for k in itertools.count():
         if all(reduce_r(g, k) == t for g, t in targets.items()):
             return k
+
+
+# Frozen reference r_k: the whole-clause-set implementation that the trail
+# engine in repkit.reductions replaced.  Every probe rebuilds the clause-set
+# with apply_assignment; results are memoized on (k, F).
+_REF_R_MEMO: dict[tuple[int, ClauseSet], ClauseSet] = {}
+
+
+def ref_propagate_units(f: ClauseSet) -> ClauseSet:
+    while True:
+        if BOT in f:
+            return BOT_SET
+        phi = {}
+        for c in f:
+            if len(c) == 1:
+                x = next(iter(c))
+                if phi.get(abs(x)) == (0 if x > 0 else 1):
+                    return BOT_SET
+                phi[abs(x)] = 1 if x > 0 else 0
+        if not phi:
+            return f
+        f = apply_assignment(phi, f)
+
+
+def ref_reduce_r(f: ClauseSet, k: int) -> ClauseSet:
+    if k == 0:
+        return BOT_SET if BOT in f else f
+    if k == 1:
+        return ref_propagate_units(f)
+    key = (k, f)
+    hit = _REF_R_MEMO.get(key)
+    if hit is not None:
+        return hit
+    g = ref_propagate_units(f)
+    while g != BOT_SET:
+        for x in sorted(literals(g), key=lambda x: (abs(x), 0 if x > 0 else 1)):
+            if ref_reduce_r(apply_assignment({abs(x): 0 if x > 0 else 1}, g), k - 1) == BOT_SET:
+                g = ref_propagate_units(apply_assignment({abs(x): 1 if x > 0 else 0}, g))
+                break
+        else:
+            break
+    _REF_R_MEMO[key] = g
+    return g
+
+
+def ref_refutation_level(f: ClauseSet) -> int:
+    for k in range(len(variables(f)) + 1):
+        if ref_reduce_r(f, k) == BOT_SET:
+            return k
+    raise ValueError("refutation_level requires an unsatisfiable clause-set")
 
 
 def kres_refutes_nosubsumption(f: ClauseSet, k: int, cap: int = 10 ** 5) -> bool:

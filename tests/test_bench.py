@@ -140,3 +140,36 @@ def test_cli_verify(capsys):
     rc, _ = run_cli(capsys, "verify", "--k", "2", "--h", "3", "--variant",
                     "1", "--level", "formulas")
     assert rc == 0
+
+
+@pytest.mark.parametrize("variant", [1, 2, 3])
+def test_cli_verify_hardness_h12(capsys, variant):
+    rc, out = run_cli(capsys, "verify", "--k", "2", "--h", "12", "--variant",
+                      str(variant), "--level", "hardness")
+    rep = json.loads(out)
+    assert rc == 0 and rep["ok"] is True
+    assert rep["hardness"] == ([3, 3] if variant == 1 else [2, 2])
+
+
+def run_cli_err(capsys, *args):
+    rc = cli.main(list(args))
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return rc, captured.err
+
+
+def test_cli_errors_are_one_line_with_distinct_codes(tmp_path, capsys):
+    bad = tmp_path / "bad.cnf"
+    bad.write_text("p cnf 2 1\n1 x 0\n")
+    rc, err = run_cli_err(capsys, "analyze", str(bad))
+    assert rc == 3 and err == "repkit: line 2: bad token in '1 x 0'\n"
+
+    wide = tmp_path / "wide.cnf"
+    wide.write_text("p cnf 15 1\n" + " ".join(map(str, range(1, 16))) + " 0\n")
+    rc, err = run_cli_err(capsys, "analyze", str(wide), "--measure", "phd")
+    assert rc == 4 and err.startswith("repkit: p_hardness over 15 > 14 variables")
+
+    sat = tmp_path / "sat.cnf"
+    sat.write_text("p cnf 2 1\n1 2 0\n")
+    rc, err = run_cli_err(capsys, "analyze", str(sat), "--measure", "hd-unsat")
+    assert rc == 5 and err == "repkit: refutation_level requires an unsatisfiable clause-set\n"

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -76,6 +78,26 @@ def test_dimacs_roundtrip_basic():
     assert clauses == [rk.clause(1, -2), rk.clause(2, 3)]
     again, _ = rk.parse_dimacs(rk.emit_dimacs(clauses))
     assert again == clauses
+
+
+def test_dimacs_long_line_roundtrip():
+    rng = random.Random(5)
+    clauses = [rk.clause(*(v if rng.random() < .5 else -v
+                           for v in rng.sample(range(1, 301), rng.randint(1, 4))))
+               for _ in range(20_000)]
+    text = "p cnf 300 20000\n" + " ".join(
+        " ".join(map(str, sorted(c))) + " 0" for c in clauses) + "\n"
+    parsed, fmt = rk.parse_dimacs(text)
+    assert fmt == "cnf" and parsed == clauses
+    assert rk.parse_dimacs(rk.emit_dimacs(parsed, num_vars=300))[0] == clauses
+
+
+def test_dimacs_clauses_across_lines():
+    text = "p cnf 3 3\n1 -2\n3 0 2 0 -1\n\n-3 0\n"
+    assert rk.parse_dimacs(text)[0] == [rk.clause(1, -2, 3), rk.clause(2),
+                                        rk.clause(-1, -3)]
+    with pytest.raises(rk.DimacsError, match="^line 3: complementary pair"):
+        rk.parse_dimacs("p cnf 2 1\n1 2\n-1 0\n")
 
 
 @pytest.mark.parametrize("bad", [

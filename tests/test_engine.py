@@ -1,0 +1,69 @@
+"""The trail-based r_k engine against the frozen whole-clause-set reference.
+
+r_k is confluent, so the engine must return the very clause-set of the
+reference, not only the same verdict.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import repkit as rk
+from repkit import bench
+from helpers import random_clause_set, ref_reduce_r, ref_refutation_level
+
+
+def test_reduce_r_equals_reference_on_random_corpus():
+    rng = random.Random(21)
+    for _ in range(600):
+        f = random_clause_set(rng, rng.randint(2, 7), rng.randint(1, 14),
+                              rng.randint(1, 4))
+        for k in range(4):
+            assert rk.reduce_r(f, k) == ref_reduce_r(f, k), (sorted(map(sorted, f)), k)
+        if not rk.is_satisfiable(f):
+            assert rk.refutation_level(f) == ref_refutation_level(f)
+
+
+def test_failed_literal_found_late_enables_an_earlier_one():
+    # x1 -> 0 is refuted by r_1 only once x5 is set, and x5 is scanned after x1
+    f = rk.clause_set([[5, 6], [5, -6], [-5, 1, 2], [-5, 1, -2], [3, 4]])
+    assert rk.reduce_r(f, 2) == ref_reduce_r(f, 2) == rk.clause_set([[3, 4]])
+
+
+G_INSTANCES = [(2, h, v) for h in range(3, 7) for v in (1, 2, 3)] + [(3, 5, 1)]
+
+
+@pytest.mark.parametrize("k,h,variant", G_INSTANCES)
+def test_g_instances_equal_reference(k, h, variant):
+    clauses, _ = bench.generate(bench.InstanceSpec(k, h, variant))
+    f = frozenset(clauses)
+    assert rk.refutation_level(f) == ref_refutation_level(f)
+    assert rk.reduce_r(f, 2) == ref_reduce_r(f, 2)
+    # a satisfiable image: one clause dropped leaves a non-trivial r_2 result
+    g = f - {min(f, key=rk.reductions.clause_key)}
+    assert rk.reduce_r(g, 2) == ref_reduce_r(g, 2)
+
+
+@st.composite
+def clause_sets(draw):
+    n = draw(st.integers(1, 6))
+    cls = draw(st.lists(
+        st.sets(st.integers(1, n), min_size=1, max_size=n).flatmap(
+            lambda vs: st.tuples(*(st.sampled_from([v, -v]) for v in sorted(vs)))),
+        max_size=12))
+    return rk.clause_set(cls)
+
+
+@given(clause_sets(), st.integers(0, 3))
+@settings(max_examples=200, deadline=None)
+def test_reduce_r_monotone_in_k_and_idempotent(f, k):
+    g = rk.reduce_r(f, k)
+    assert rk.reduce_r(g, k) == g
+    # r_k steps are r_{k+1} steps: r_{k+1} continues from r_k(F)
+    assert rk.reduce_r(g, k + 1) == rk.reduce_r(f, k + 1)
+    if g == rk.BOT_SET:
+        assert rk.reduce_r(f, k + 1) == rk.BOT_SET
+    else:
+        assert rk.variables(rk.reduce_r(f, k + 1)) <= rk.variables(g)
+

@@ -1,8 +1,11 @@
 import itertools
 import random
 
+import pytest
+
 import repkit as rk
 from helpers import random_clause_set
+from repkit import trigger
 from repkit.reductions import clause_key
 
 
@@ -110,3 +113,14 @@ def test_certificate_json():
     cert = rk.depth_k_incomparable_family(t, 1)
     data = cert.to_json()
     assert '"k": 1' in data
+
+
+def test_certificate_refuses_large_trees_before_allocating(monkeypatch):
+    t = rk.extremal_tree(2, 7)                   # 29 leaves: 2^29 - 1 implicates
+    with pytest.raises(rk.SizeLimitExceeded, match="implicates"):
+        rk.depth_k_incomparable_family(t, 1)
+    t = rk.extremal_tree(2, 4)                   # 11 leaves fit the budget
+    assert rk.depth_k_incomparable_family(t, 1).size == 6
+    monkeypatch.setattr(trigger, "_MAX_IMPLICATES", 1000)
+    with pytest.raises(rk.SizeLimitExceeded):
+        rk.depth_k_incomparable_family(t, 1)

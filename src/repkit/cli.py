@@ -11,7 +11,8 @@
     repkit verify   --k K --h H --variant V [--level formulas|hardness]
 
 Exit codes: 0 success, 1 failed verification, 2 bad arguments, 3 malformed
-DIMACS input, 4 size budget exceeded, 5 other invalid input.
+DIMACS input, 4 size budget exceeded, 5 other invalid input, 6 a file that
+cannot be read or written.
 """
 
 from __future__ import annotations
@@ -281,6 +282,8 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(e, 4)
     except ValueError as e:
         return _fail(e, 5)
+    except OSError as e:
+        return _fail(e, 6)
 
 
 def _fail(e: Exception, code: int) -> int:

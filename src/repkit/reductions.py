@@ -21,13 +21,19 @@ value per literal, and an assignment trail with undo.  Failed literals are
 probed by push, propagate and pop on that trail (Lynce and Marques-Silva,
 ICTAI 2003), recursing on the same trail for the r_{k-1} test, so no probe
 rebuilds the clause-set.  r_k is confluent, so the trail's final assignment
-applied to F is exactly r_k(F).  The only module-level memos left are those of
-r_inf and whd, emptied by `clear_caches`.
+applied to F is exactly r_k(F).
+
+hd and whd are maxima over the falsifying assignments of the prime
+implicates; phd is decided from the same prime implicates, with one r_hd run
+per (implicate, literal) pair instead of a walk over all instantiation
+images.  The only module-level memo is that of whd, emptied by
+`clear_caches`.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .core import (
@@ -36,12 +42,10 @@ from .core import (
     is_satisfiable, literals, single, total_assignments, variables,
 )
 
-_RINF_MEMO: dict[ClauseSet, ClauseSet] = {}
 _WREF_MEMO: dict[ClauseSet, int] = {}
 
 
 def clear_caches() -> None:
-    _RINF_MEMO.clear()
     _WREF_MEMO.clear()
 
 
@@ -229,9 +233,6 @@ def reduce_r_inf(f: ClauseSet) -> ClauseSet:
 
     Computed directly: x is forced iff <x -> 0> * F is unsatisfiable.
     """
-    hit = _RINF_MEMO.get(f)
-    if hit is not None:
-        return hit
     g = propagate_units(f)
     if g is not BOT_SET and not is_satisfiable(g):
         g = BOT_SET
@@ -242,7 +243,6 @@ def reduce_r_inf(f: ClauseSet) -> ClauseSet:
                 break
         else:
             break
-    _RINF_MEMO[f] = g
     return g
 
 
@@ -277,26 +277,33 @@ def _as_witness(phi: Assignment) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(phi.items()))
 
 
-def hardness(f: ClauseSet, max_prime_clauses: int = 10 ** 6) -> HardnessReport:
-    """hd(F): max over instantiations phi with phi * F unsatisfiable of the
-    refutation level of phi * F.
+def _max_over_prime_implicates(f: ClauseSet, kind: str, level: Callable[[ClauseSet], int],
+                               max_prime_clauses: int = 10 ** 6
+                               ) -> tuple[HardnessReport, ClauseSet]:
+    """max over instantiations phi with phi * F unsatisfiable of level(phi * F),
+    together with the prime implicates of F ({bot} when F is unsatisfiable).
 
     For satisfiable F the maximum is attained on the falsifying assignments
     phi_C of the prime implicates C, which is what gets enumerated; the
     witness is the phi_C of a maximizing C.
     """
     if not is_satisfiable(f):
-        return HardnessReport("hd", refutation_level(f), _as_witness({}))
+        return HardnessReport(kind, level(f), _as_witness({})), BOT_SET
     prime = prime_implicates(f, max_prime_clauses)
     best, best_phi = 0, None
     for c in sorted(prime, key=clause_key):
         phi = falsifying_assignment(c)
-        level = refutation_level(apply_assignment(phi, f))
-        if level > best or best_phi is None:
-            best, best_phi = level, phi
-    if best_phi is None:
-        return HardnessReport("hd", 0, None)  # tautology: no implicates
-    return HardnessReport("hd", best, _as_witness(best_phi))
+        lv = level(apply_assignment(phi, f))
+        if lv > best or best_phi is None:
+            best, best_phi = lv, phi
+    witness = None if best_phi is None else _as_witness(best_phi)  # None: tautology
+    return HardnessReport(kind, best, witness), prime
+
+
+def hardness(f: ClauseSet, max_prime_clauses: int = 10 ** 6) -> HardnessReport:
+    """hd(F): max over instantiations phi with phi * F unsatisfiable of the
+    refutation level of phi * F."""
+    return _max_over_prime_implicates(f, "hd", refutation_level, max_prime_clauses)[0]
 
 
 def w_refutation_level(f: ClauseSet, max_clauses: int = 10 ** 6) -> int:
@@ -350,46 +357,40 @@ def _kres_refutes(f: ClauseSet, k: int, max_clauses: int) -> bool:
 
 def w_hardness(f: ClauseSet, max_prime_clauses: int = 10 ** 6) -> HardnessReport:
     """whd(F): like hardness, with k-resolution refutation levels."""
-    if not is_satisfiable(f):
-        return HardnessReport("whd", w_refutation_level(f), _as_witness({}))
-    prime = prime_implicates(f, max_prime_clauses)
-    best, best_phi = 0, None
-    for c in sorted(prime, key=clause_key):
-        phi = falsifying_assignment(c)
-        level = w_refutation_level(apply_assignment(phi, f))
-        if level > best or best_phi is None:
-            best, best_phi = level, phi
-    if best_phi is None:
-        return HardnessReport("whd", 0, None)
-    return HardnessReport("whd", best, _as_witness(best_phi))
+    return _max_over_prime_implicates(f, "whd", w_refutation_level, max_prime_clauses)[0]
 
 
 def p_hardness(f: ClauseSet, max_vars: int = 14) -> HardnessReport:
     """phd(F): minimal k with r_k(phi * F) = r_inf(phi * F) for all phi.
 
-    The candidates are hd(F) and hd(F) + 1; all instantiation images are
-    visited through single-variable extensions (memoized on the image).
+    With hd = hd(F), phd(F) is hd or hd + 1 (r_{hd+1} applies every forced x,
+    as r_hd refutes <x -> 0> * phi * F), and it is hd exactly when for
+    every prime implicate C of F and every x in C, r_hd(phi_{C - x} * F)
+    no longer contains var(x) (phi_{C - x} falsifies the other literals of
+    C).  Unsatisfiable instances are refuted at level hd by definition of
+    hd; a literal x forced in a satisfiable phi * F has a prime implicate C
+    with x in C and phi_{C - x} contained in phi; and r_k's derivations
+    survive extending the assignment (Kullmann, "Investigating a general
+    hierarchy of polynomially decidable classes of CNF's based on short
+    tree-like resolution proofs", ECCC 1999).  This reduction of the PC_k
+    property to prime implicates follows Gwynne and Kullmann, "Generalising
+    unit-refutation completeness and SLUR via nested input resolution",
+    JAR 2014.
+
+    C runs in clause_key order and x in scan order; the first phi_{C - x}
+    that fails is the witness of value hd + 1, an instance on which r_hd
+    and r_inf differ.  The witness of value hd is the empty assignment.
     """
     if len(variables(f)) > max_vars:
         raise SizeLimitExceeded(f"p_hardness over {len(variables(f))} > {max_vars} variables")
-    hd = hardness(f).value
-    seen: set[ClauseSet] = set()
-    stack = [f]
-    value = hd
-    witness: Assignment | None = {}
-    while stack:
-        g = stack.pop()
-        if g in seen:
-            continue
-        seen.add(g)
-        if reduce_r(g, hd) != reduce_r_inf(g):
-            value = hd + 1
-            witness = None  # a separating instance exists but is not tracked
-            break
-        for v in variables(g):
-            for val in (0, 1):
-                stack.append(apply_assignment({v: val}, g))
-    return HardnessReport("phd", value, None if witness is None else _as_witness(witness))
+    rep, prime = _max_over_prime_implicates(f, "hd", refutation_level)
+    hd = rep.value
+    for c in sorted(prime, key=clause_key):
+        for x in sorted(c, key=abs):
+            phi = falsifying_assignment(c - {x})
+            if abs(x) in variables(reduce_r(apply_assignment(phi, f), hd)):
+                return HardnessReport("phd", hd + 1, _as_witness(phi))
+    return HardnessReport("phd", hd, _as_witness({}))
 
 
 def relative_hardness(f: ClauseSet, vs: frozenset[int] | set[int]) -> int:

@@ -21,8 +21,8 @@ from .core import Clause, ClauseSet, SizeLimitExceeded, complement
 from .reductions import clause_key
 from .trees import Tree, leaf_count, inner_count, tree_clauses
 
-# depth_k_incomparable_family lists every implicate of the doped tree; a tree
-# with more than this many is refused before the list is built.
+# depth_k_incomparable_family refuses a tree with more than this many
+# implicates (2^leaves - 1) before doing any work.
 _MAX_IMPLICATES = 1 << 20
 
 
@@ -147,19 +147,26 @@ def _node_masks(t: Tree) -> tuple[list[tuple[int, int, int]], int]:
     return masks, counter[0]
 
 
+def _leaf_set_implicate(masks: list[tuple[int, int, int]], u0: int, nl: int,
+                        mv: int) -> Clause:
+    """C_V for the leaf set V with mask mv: the doping literals of V plus every
+    edge literal whose subtree meets V while the sibling subtree does not."""
+    lits = [u0 + i for i in range(nl) if mv >> i & 1]
+    for v, lm, rm in masks:
+        if mv & lm and not mv & rm:
+            lits.append(v)
+        elif mv & rm and not mv & lm:
+            lits.append(-v)
+    return frozenset(lits)
+
+
 def doped_tree_implicates(t: Tree, first_doping_var: int | None = None):
     """Yield (leaf mask, C_V) for every non-empty leaf set V: exactly the
     prime implicates of dope(smuo(T)), 2^leaves - 1 in total."""
     masks, nl = _node_masks(t)
     u0 = (inner_count(t) + 1) if first_doping_var is None else first_doping_var
     for mv in range(1, 1 << nl):
-        lits = [u0 + i for i in range(nl) if mv >> i & 1]
-        for v, lm, rm in masks:
-            if mv & lm and not mv & rm:
-                lits.append(v)
-            elif mv & rm and not mv & lm:
-                lits.append(-v)
-        yield mv, frozenset(lits)
+        yield mv, _leaf_set_implicate(masks, u0, nl, mv)
 
 
 @dataclass
@@ -215,10 +222,13 @@ def depth_k_incomparable_family(t: Tree, k: int) -> DisjointEdgeCertificate:
     """A maximal family of leaf sets incomparable on every depth-k subtree,
     with the pairwise disjointness of their hyperedges checked explicitly.
 
-    Sperner construction: take all floor(m/2)-subsets of the leaves of a
-    minimal depth-k subtree (m leaves) and transport them injectively into
-    every other depth-k subtree.  The check lists all 2^leaves - 1 implicates,
-    so trees with more than _MAX_IMPLICATES of them are refused up front.
+    Sperner construction: take all floor(m/2)-subsets (1-subsets when m = 1)
+    of the leaves of a minimal depth-k subtree (m leaves) and transport them
+    injectively into every other depth-k subtree.  Edge members are found
+    from leaf masks alone: only the leaf sets V' = s | e with s inside V and
+    at most k leaves e outside V are candidates, so the 2^leaves - 1
+    implicates are never listed.  Trees with more than _MAX_IMPLICATES
+    implicates are still refused up front.
     """
     n_implicates = (1 << leaf_count(t)) - 1
     if n_implicates > _MAX_IMPLICATES:
@@ -226,22 +236,37 @@ def depth_k_incomparable_family(t: Tree, k: int) -> DisjointEdgeCertificate:
             f"depth_k_incomparable_family over {n_implicates} > {_MAX_IMPLICATES} implicates")
     blocks = _depth_k_leaf_blocks(t, k)
     m = min(len(b) for b in blocks)
-    r = m // 2
+    r = max(m // 2, 1)  # a one-leaf block still needs a non-empty leaf set
     count = comb(m, r)
     subsets = [list(itertools.islice(itertools.combinations(b, r), count)) for b in blocks]
     leaf_sets = [frozenset(i for s in subsets for i in s[pos]) for pos in range(count)]
 
-    implicates = list(doped_tree_implicates(t))
+    masks, nl = _node_masks(t)
+    u0 = inner_count(t) + 1
     edge_clauses = []
     members = []
     for v in leaf_sets:
-        mask = 0
-        for i in v:
-            mask |= 1 << (i - 1)
-        c = implicates[mask - 1][1]
+        mask = sum(1 << (i - 1) for i in v)
+        c = _leaf_set_implicate(masks, u0, nl, mask)
         comp_c = complement(c)
-        members.append(tuple(mv for mv, cp in implicates
-                             if not (cp & comp_c) and len(cp - c) <= k))
+        # C_V' has a doping literal for every leaf of V' outside V, so the only
+        # candidates are V' = s | e with s inside V and at most k leaves e outside.
+        subs = [0]
+        for i in range(nl):
+            if mask >> i & 1:
+                subs += [s | 1 << i for s in subs]
+        outside = [1 << i for i in range(nl) if not mask >> i & 1]
+        found = []
+        for j in range(k + 1):
+            for e in itertools.combinations(outside, j):
+                e_mask = sum(e)
+                for s in subs:
+                    mv = s | e_mask
+                    if mv:
+                        cp = _leaf_set_implicate(masks, u0, nl, mv)
+                        if not (cp & comp_c) and len(cp - c) <= k:
+                            found.append(mv)
+        members.append(tuple(sorted(found)))
         edge_clauses.append(c)
     # explicit pairwise disjointness check
     for (i, a), (j, b) in itertools.combinations(enumerate(members), 2):

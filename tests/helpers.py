@@ -9,11 +9,12 @@ closure.  Library results are checked against these on small inputs.
 from __future__ import annotations
 
 import itertools
+import math
 
 from repkit import (
-    BOT, BOT_SET, Clause, ClauseSet, LEAF, Tree, apply_assignment,
-    is_satisfiable, literals, reduce_r, reduce_r_inf, refutation_level,
-    variables,
+    BOT, BOT_SET, Clause, ClauseSet, LEAF, Tree, apply_assignment, hardness,
+    inner_count, is_satisfiable, leaf_count, literals, reduce_r, reduce_r_inf,
+    refutation_level, variables,
 )
 
 
@@ -183,3 +184,80 @@ REFERENCE_ALPHA = {
     (2, 72): 2629, (3, 23): 2048, (3, 33): 6018, (3, 43): 13288,
     (4, 24): 12951, (4, 34): 52956, (4, 44): 149986, (5, 25): 68406, (5, 35): 384168,
 }
+
+
+# Frozen reference phd: the image-walking p_hardness that the prime-implicate
+# test in repkit.reductions replaced.  Every instantiation image is visited
+# through single-variable extensions and r_hd is compared with r_inf on it.
+def ref_p_hardness(f: ClauseSet) -> int:
+    hd = hardness(f).value
+    seen: set[ClauseSet] = set()
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if g in seen:
+            continue
+        seen.add(g)
+        if reduce_r(g, hd) != reduce_r_inf(g):
+            return hd + 1
+        for v in variables(g):
+            for val in (0, 1):
+                stack.append(apply_assignment({v: val}, g))
+    return hd
+
+
+# Frozen reference certificate: depth_k_incomparable_family as first
+# written, listing all 2^leaves - 1 implicates of the doped tree and scanning
+# the whole list for the members of each edge.  Meant for trees whose
+# depth-k subtrees all have at least two leaves.
+def ref_certificate(t: Tree, k: int):
+    """(leaf_sets, clauses, members) of the Sperner certificate."""
+    masks: list[tuple[int, int, int]] = []
+    counter = [0]
+
+    def walk(s: Tree) -> int:
+        if s.is_leaf:
+            counter[0] += 1
+            return 1 << (counter[0] - 1)
+        lm, rm = walk(s.left), walk(s.right)
+        masks.append((s.var, lm, rm))
+        return lm | rm
+
+    walk(t)
+    nl = counter[0]
+    u0 = inner_count(t) + 1
+    implicates = []
+    for mv in range(1, 1 << nl):
+        lits = [u0 + i for i in range(nl) if mv >> i & 1]
+        for v, lm, rm in masks:
+            if mv & lm and not mv & rm:
+                lits.append(v)
+            elif mv & rm and not mv & lm:
+                lits.append(-v)
+        implicates.append((mv, frozenset(lits)))
+
+    blocks: list[list[int]] = []
+    counter[0] = 0
+
+    def block_walk(s: Tree, d: int) -> None:
+        if d == k:
+            lo = counter[0] + 1
+            counter[0] += leaf_count(s)
+            blocks.append(list(range(lo, counter[0] + 1)))
+            return
+        block_walk(s.left, d + 1)
+        block_walk(s.right, d + 1)
+
+    block_walk(t, 0)
+    m = min(len(b) for b in blocks)
+    count = math.comb(m, m // 2)
+    subsets = [list(itertools.combinations(b, m // 2))[:count] for b in blocks]
+    leaf_sets = tuple(frozenset(i for s in subsets for i in s[pos]) for pos in range(count))
+    clauses, members = [], []
+    for v in leaf_sets:
+        c = implicates[sum(1 << (i - 1) for i in v) - 1][1]
+        comp_c = frozenset(-x for x in c)
+        members.append(tuple(mv for mv, cp in implicates
+                             if not (cp & comp_c) and len(cp - c) <= k))
+        clauses.append(c)
+    return leaf_sets, tuple(clauses), tuple(members)

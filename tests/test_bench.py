@@ -173,3 +173,12 @@ def test_cli_errors_are_one_line_with_distinct_codes(tmp_path, capsys):
     sat.write_text("p cnf 2 1\n1 2 0\n")
     rc, err = run_cli_err(capsys, "analyze", str(sat), "--measure", "hd-unsat")
     assert rc == 5 and err == "repkit: refutation_level requires an unsatisfiable clause-set\n"
+
+    missing = tmp_path / "missing.cnf"
+    rc, err = run_cli_err(capsys, "analyze", str(missing))
+    assert rc == 6 and err.startswith("repkit: ") and str(missing) in err
+    assert err.count("\n") == 1
+
+    rc, err = run_cli_err(capsys, "tree", "--k", "2", "--h", "3",
+                          "-o", str(tmp_path / "no-such-dir" / "t.cnf"))
+    assert rc == 6 and err.startswith("repkit: ") and err.count("\n") == 1

@@ -7,6 +7,7 @@ from helpers import (
     random_clause_set,
     hd_by_assignment_enumeration,
     phd_by_definition,
+    ref_p_hardness,
     whd_by_closure,
 )
 
@@ -83,6 +84,51 @@ def test_p_hardness_bounds_and_oracle():
         phd = rk.p_hardness(f).value
         assert hd <= phd <= hd + 1
         assert phd == phd_by_definition(f)
+
+
+def random_cnf_2_to_8_vars(rng):
+    n = rng.randint(2, 8)
+    return random_clause_set(rng, n, rng.randint(n // 2 + 1, 2 * n))
+
+
+def test_p_hardness_matches_image_walk():
+    rng = random.Random(16)
+    seen = set()
+    for _ in range(1000):
+        f = random_cnf_2_to_8_vars(rng)
+        rep = rk.p_hardness(f)
+        assert rep.value == ref_p_hardness(f), f
+        seen.add((rk.hardness(f).value, rep.value))
+    assert {(0, 1), (1, 1), (1, 2), (2, 2)} <= seen
+
+
+def test_p_hardness_witness_separates():
+    rng = random.Random(17)
+    separated = 0
+    for _ in range(400):
+        f = random_cnf_2_to_8_vars(rng)
+        hd = rk.hardness(f).value
+        rep = rk.p_hardness(f)
+        phi = rep.witness_assignment()
+        assert phi is not None
+        if rep.value == hd:
+            assert phi == {}
+            continue
+        g = rk.apply_assignment(phi, f)
+        assert rk.reduce_r(g, hd) != rk.reduce_r_inf(g), (f, phi)
+        separated += 1
+    assert separated > 100
+
+
+def test_p_hardness_degenerate_inputs():
+    assert rk.p_hardness(frozenset()).value == 0
+    assert rk.p_hardness(rk.BOT_SET).value == 0
+    # a unit clause is forced at once, which r_0 does not see
+    rep = rk.p_hardness(rk.clause_set([[1]]))
+    assert rep.value == 1 and rep.witness_assignment() == {}
+    # unsatisfiable: every instance is refuted at level hd
+    f = rk.clause_set([[1, 2], [1, -2], [-1, 2], [-1, -2]])
+    assert rk.p_hardness(f).value == rk.hardness(f).value == 2
 
 
 def test_w_hardness_oracle():

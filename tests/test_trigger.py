@@ -1,10 +1,11 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
 import repkit as rk
-from helpers import random_clause_set
+from helpers import random_clause_set, ref_certificate
 from repkit import trigger
 from repkit.reductions import clause_key
 
@@ -124,3 +125,40 @@ def test_certificate_refuses_large_trees_before_allocating(monkeypatch):
     monkeypatch.setattr(trigger, "_MAX_IMPLICATES", 1000)
     with pytest.raises(rk.SizeLimitExceeded):
         rk.depth_k_incomparable_family(t, 1)
+
+
+@pytest.mark.parametrize("k_tree, h, depth", [
+    (2, 2, 1), (2, 3, 1), (2, 4, 1), (2, 5, 1), (3, 3, 2), (3, 4, 2),
+])
+def test_certificate_matches_full_enumeration(k_tree, h, depth):
+    t = rk.extremal_tree(k_tree, h)
+    cert = rk.depth_k_incomparable_family(t, depth)
+    assert (cert.leaf_sets, cert.clauses, cert.members) == ref_certificate(t, depth)
+
+
+def test_certificate_lists_no_implicates(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("implicates listed")
+
+    monkeypatch.setattr(trigger, "doped_tree_implicates", refuse)
+    t = rk.extremal_tree(2, 5)
+    tracemalloc.start()
+    try:
+        cert = rk.depth_k_incomparable_family(t, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.size == 10
+    assert peak < 2_000_000   # all 2^16 - 1 implicates take tens of MB
+
+
+def test_certificate_one_leaf_block():
+    t = rk.extremal_tree(2, 4)           # a leaf at depth 2: one-leaf block
+    blocks = trigger._depth_k_leaf_blocks(t, 2)
+    assert min(map(len, blocks)) == 1
+    cert = rk.depth_k_incomparable_family(t, 2)
+    assert cert.size == 1
+    (v,), (c,) = cert.leaf_sets, cert.clauses
+    assert v and c == rk.clause_for_leaves(t, v)
+    mask = sum(1 << (i - 1) for i in v)
+    assert mask in cert.members[0]

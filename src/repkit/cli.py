@@ -59,21 +59,15 @@ def cmd_analyze(args) -> int:
         out["value"] = reductions.refutation_level(f)
     elif m == "whd-unsat":
         out["value"] = reductions.w_refutation_level(f)
-    elif m == "rk":
-        g = reductions.reduce_r(f, args.k)
-        out["k"] = args.k
+    elif m in ("rk", "rinf"):
+        if m == "rk":
+            out["k"] = args.k
+        g = reductions.reduce_r(f, args.k) if m == "rk" else reductions.reduce_r_inf(f)
         out["refuted"] = g == core.BOT_SET
         out["result"] = [_clause_out(c) for c in sorted(g, key=reductions.clause_key)]
-    elif m == "rinf":
-        g = reductions.reduce_r_inf(f)
-        out["refuted"] = g == core.BOT_SET
-        out["result"] = [_clause_out(c) for c in sorted(g, key=reductions.clause_key)]
-    elif m == "prime":
-        p = reductions.prime_implicates(f)
-        out["value"] = len(p)
-        out["clauses"] = [_clause_out(c) for c in sorted(p, key=reductions.clause_key)]
-    elif m == "essential":
-        p = reductions.essential_prime_implicates(f)
+    elif m in ("prime", "essential"):
+        p = (reductions.prime_implicates if m == "prime"
+             else reductions.essential_prime_implicates)(f)
         out["value"] = len(p)
         out["clauses"] = [_clause_out(c) for c in sorted(p, key=reductions.clause_key)]
     elif m == "sat":

@@ -56,8 +56,11 @@ def dope(f: ClauseSet) -> DopedClauseSet:
     Doping variables are numbered from max var(F) + 1 following the canonical
     clause order, so the construction is deterministic.
     """
-    base = sorted(f, key=clause_key)
-    u0 = max((abs(x) for c in f for x in c), default=0) + 1
+    return _doped(sorted(f, key=clause_key), max((abs(x) for c in f for x in c), default=0) + 1)
+
+
+def _doped(base: list[Clause], u0: int) -> DopedClauseSet:
+    """The i-th base clause (0-based, in the given order) doped with u0 + i."""
     ordered = tuple(c | {u0 + i} for i, c in enumerate(base))
     return DopedClauseSet(frozenset(ordered), {c: u0 + i for i, c in enumerate(base)}, ordered)
 

@@ -28,6 +28,9 @@ implicates; phd is decided from the same prime implicates, with one r_hd run
 per (implicate, literal) pair instead of a walk over all instantiation
 images.  The only module-level memo is that of whd, emptied by
 `clear_caches`.
+
+Prime implicates (no width bound) and whd (width k = 0, 1, ... in turn) run
+one resolution-saturation kernel, `_saturate`.
 """
 
 from __future__ import annotations
@@ -313,46 +316,10 @@ def w_refutation_level(f: ClauseSet, max_clauses: int = 10 ** 6) -> int:
     if hit is not None:
         return hit
     for k in range(len(variables(f)) + 1):
-        if _kres_refutes(f, k, max_clauses):
+        if _saturate(f, k, max_clauses) is BOT_SET:
             _WREF_MEMO[f] = k
             return k
     raise ValueError("w_refutation_level requires an unsatisfiable clause-set")
-
-
-def _resolve(c: Clause, d: Clause) -> Clause | None:
-    """Resolvent of two clauses clashing in exactly one literal, else None."""
-    clash = [x for x in c if -x in d]
-    if len(clash) != 1:
-        return None
-    x = clash[0]
-    return (c - {x}) | (d - {-x})
-
-
-def _kres_refutes(f: ClauseSet, k: int, max_clauses: int) -> bool:
-    """Saturate resolution restricted to steps with a parent of length <= k,
-    with forward subsumption; True iff the empty clause is derived."""
-    db: list[Clause] = []
-    pending = deque(sorted(f, key=clause_key))
-    queued: set[Clause] = set(pending)
-    generated = 0
-    while pending:
-        c = pending.popleft()
-        if not c:
-            return True
-        if any(d <= c for d in db):
-            continue
-        db = [d for d in db if not c <= d]
-        for d in db:
-            if len(c) <= k or len(d) <= k:
-                r = _resolve(c, d)
-                if r is not None and r not in queued:
-                    queued.add(r)
-                    pending.append(r)
-                    generated += 1
-        db.append(c)
-        if generated > max_clauses:
-            raise SizeLimitExceeded("k-resolution clause budget exhausted")
-    return False
 
 
 def w_hardness(f: ClauseSet, max_prime_clauses: int = 10 ** 6) -> HardnessReport:
@@ -425,7 +392,7 @@ def split_hardness_bound(f: ClauseSet, vs: frozenset[int] | set[int]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# prime implicates
+# resolution: prime implicates and k-resolution
 # ---------------------------------------------------------------------------
 
 def prime_implicates(f: ClauseSet, max_clauses: int = 10 ** 6) -> ClauseSet:
@@ -433,6 +400,22 @@ def prime_implicates(f: ClauseSet, max_clauses: int = 10 ** 6) -> ClauseSet:
 
     Returns {bot} for unsatisfiable F and the empty set for tautologies.
     """
+    return _saturate(f, None, max_clauses)
+
+
+def _resolve(c: Clause, d: Clause) -> Clause | None:
+    """Resolvent of two clauses clashing in exactly one literal, else None."""
+    clash = [x for x in c if -x in d]
+    if len(clash) != 1:
+        return None
+    x = clash[0]
+    return (c - {x}) | (d - {-x})
+
+
+def _saturate(f: ClauseSet, k: int | None, max_clauses: int) -> ClauseSet:
+    """Resolution closure of F with subsumption: {bot} once the empty clause
+    is derived, else the subsumption-minimal clauses (primec_0(F) when k is
+    None).  With a width k each step needs a parent of length <= k."""
     db: list[Clause] = []
     pending = deque(sorted(f, key=clause_key))
     queued: set[Clause] = set(pending)
@@ -444,7 +427,8 @@ def prime_implicates(f: ClauseSet, max_clauses: int = 10 ** 6) -> ClauseSet:
         if any(d <= c for d in db):
             continue
         db = [d for d in db if not c <= d]
-        for d in db:
+        partners = db if k is None or len(c) <= k else [d for d in db if len(d) <= k]
+        for d in partners:
             r = _resolve(c, d)
             if r is not None and r not in queued:
                 queued.add(r)
@@ -452,7 +436,8 @@ def prime_implicates(f: ClauseSet, max_clauses: int = 10 ** 6) -> ClauseSet:
                 generated += 1
         db.append(c)
         if generated > max_clauses:
-            raise SizeLimitExceeded("resolution clause budget exhausted")
+            budget = "resolution" if k is None else f"k-resolution (width k = {k})"
+            raise SizeLimitExceeded(f"{budget} budget of {max_clauses} resolvents exhausted")
     return frozenset(db)
 
 

@@ -11,16 +11,15 @@ variables, each link represented by its prime implicates.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import (
     BOT, BOT_SET, Clause, ClauseSet, SizeLimitExceeded, apply_assignment,
-    clause, complement, entails, is_satisfiable, total_assignments, variables,
+    clause, complement, entails, falsifying_assignment, is_satisfiable,
+    total_assignments, variables,
 )
 from .mps import DopedClauseSet
-from .reductions import clause_key, essential_prime_implicates, reduce_r
-
-from .core import falsifying_assignment
+from .reductions import clause_key, reduce_r
 
 
 @dataclass
@@ -40,45 +39,33 @@ def _dnf_order(dnf) -> list[Clause]:
 def cant(dnf, first_new_var: int | None = None) -> TranslationResult:
     """Canonical CNF translation of a DNF (sequence input fixes the clause
     order; fresh selector variables are numbered in that order)."""
-    order = _dnf_order(dnf)
-    for c in order:
-        clause(*c)  # validation
-    if not order:                      # empty disjunction: constant false
-        return TranslationResult(BOT_SET, (BOT,), {}, "cant")
-    v0 = (max((abs(x) for c in order for x in c), default=0) + 1
-          if first_new_var is None else first_new_var)
-    new_vars = {v0 + i: c for i, c in enumerate(order)}
-    out: list[Clause] = []
-    for i, c in enumerate(order):
-        for x in sorted(c, key=lambda l: (abs(l), l)):
-            out.append(frozenset({-(v0 + i), x}))
-    for i, c in enumerate(order):
-        out.append(frozenset({v0 + i}) | complement(c))
-    out.append(frozenset(v0 + i for i in range(len(order))))
-    seen: set[Clause] = set()
-    ordered = tuple(c for c in out if not (c in seen or seen.add(c)))
-    return TranslationResult(frozenset(ordered), ordered, new_vars, "cant")
+    return _selector_translation(dnf, first_new_var, "cant")
 
 
 def cantm(dnf, first_new_var: int | None = None) -> TranslationResult:
     """Reduced canonical translation: only selector-implies-literal clauses
     plus the long clause."""
+    return _selector_translation(dnf, first_new_var, "cantm")
+
+
+def _selector_translation(dnf, first_new_var: int | None, kind: str) -> TranslationResult:
+    """cant; for kind "cantm" without the clause-implies-selector clauses."""
     order = _dnf_order(dnf)
     for c in order:
-        clause(*c)
-    if not order:
-        return TranslationResult(BOT_SET, (BOT,), {}, "cantm")
+        clause(*c)  # validation
+    if not order:                      # empty disjunction: constant false
+        return TranslationResult(BOT_SET, (BOT,), {}, kind)
     v0 = (max((abs(x) for c in order for x in c), default=0) + 1
           if first_new_var is None else first_new_var)
     new_vars = {v0 + i: c for i, c in enumerate(order)}
-    out: list[Clause] = []
-    for i, c in enumerate(order):
-        for x in sorted(c, key=lambda l: (abs(l), l)):
-            out.append(frozenset({-(v0 + i), x}))
+    out = [frozenset({-(v0 + i), x})
+           for i, c in enumerate(order) for x in sorted(c, key=lambda l: (abs(l), l))]
+    if kind == "cant":
+        out += [frozenset({v0 + i}) | complement(c) for i, c in enumerate(order)]
     out.append(frozenset(v0 + i for i in range(len(order))))
     seen: set[Clause] = set()
     ordered = tuple(c for c in out if not (c in seen or seen.add(c)))
-    return TranslationResult(frozenset(ordered), ordered, new_vars, "cantm")
+    return TranslationResult(frozenset(ordered), ordered, new_vars, kind)
 
 
 def complement_clauses(clauses) -> list[Clause]:
@@ -141,7 +128,8 @@ def xor_chain(lits: list[int], first_aux: int | None = None) -> TranslationResul
 def two_xor_system(n: int) -> ClauseSet:
     """The union of the chain translations of x_1 xor ... xor x_n = 0 and
     x_1 xor ... xor x_n = 1 with disjoint auxiliary variables: an
-    unsatisfiable clause-set with 3n - 4 variables and hardness n."""
+    unsatisfiable clause-set with 3n - 4 variables.  Its hardness is n only
+    for n = 3, 4; for n = 3..8 it is 3, 4, 4, 5, 5, 5."""
     if n < 3:
         raise ValueError("needs n >= 3")
     a = xor_chain(list(range(1, n + 1)), first_aux=n + 1)

@@ -18,7 +18,7 @@ from math import comb
 from .core import (
     BOT, BOT_SET, Clause, ClauseSet, apply_assignment, variables,
 )
-from .mps import DopedClauseSet
+from .mps import DopedClauseSet, _doped
 
 
 class NotSmu1Error(ValueError):
@@ -205,14 +205,16 @@ def extremal_tree(k: int, h: int) -> Tree:
 # doping of tree clause-sets
 # ---------------------------------------------------------------------------
 
+def _first_doping_var(t: Tree, first: int | None = None) -> int:
+    """The doping variable of leaf 1: first, by default the largest inner
+    label plus one, so that doping variables never meet a label."""
+    return max(tree_labels(t), default=0) + 1 if first is None else first
+
+
 def doped_tree(t: Tree, first_doping_var: int | None = None) -> DopedClauseSet:
     """dope(smuo(T)) with the doping variable of leaf i (leaf order, 1-based)
-    numbered first_doping_var + i - 1 (default: right after the labels)."""
-    base = tree_clauses(t)
-    u0 = (inner_count(t) + 1) if first_doping_var is None else first_doping_var
-    ordered = tuple(c | {u0 + i} for i, c in enumerate(base))
-    doping_map = {c: u0 + i for i, c in enumerate(base)}
-    return DopedClauseSet(frozenset(ordered), doping_map, ordered)
+    numbered first_doping_var + i - 1 (default: right after the largest label)."""
+    return _doped(tree_clauses(t), _first_doping_var(t, first_doping_var))
 
 
 def clause_for_leaves(t: Tree, leaf_set: set[int] | frozenset[int],
@@ -220,28 +222,44 @@ def clause_for_leaves(t: Tree, leaf_set: set[int] | frozenset[int],
     """The prime implicate C_V of dope(smuo(T)) for a non-empty set V of
     leaf numbers: the doping literals of V plus every edge literal x whose
     subtree contains a leaf of V while the sibling subtree contains none."""
-    nleaves = leaf_count(t)
+    masks, nl = _node_masks(t)
     v_set = frozenset(leaf_set)
-    if not v_set or not v_set <= frozenset(range(1, nleaves + 1)):
+    if not v_set or not v_set <= frozenset(range(1, nl + 1)):
         raise ValueError("leaf_set must be a non-empty subset of the leaf numbers")
-    u0 = (inner_count(t) + 1) if first_doping_var is None else first_doping_var
-    lits = {u0 + i - 1 for i in v_set}
+    return _leaf_set_implicate(masks, _first_doping_var(t, first_doping_var), nl,
+                               sum(1 << (i - 1) for i in v_set))
 
-    def walk(s: Tree, lo: int) -> int:
-        """Processes the subtree whose leaves are lo..lo+count-1; returns count."""
+
+def _node_masks(t: Tree) -> tuple[list[tuple[int, int, int]], int]:
+    """Per inner node (var, left leaf mask, right leaf mask); plus leaf count.
+    Leaf i (1-based, left to right) is bit i-1."""
+    masks: list[tuple[int, int, int]] = []
+    counter = [0]
+
+    def walk(s: Tree) -> int:
         if s.is_leaf:
-            return 1
-        nl = walk(s.left, lo)
-        nr = walk(s.right, lo + nl)
-        in_left = any(lo <= i < lo + nl for i in v_set)
-        in_right = any(lo + nl <= i < lo + nl + nr for i in v_set)
-        if in_left and not in_right:
-            lits.add(s.var)
-        elif in_right and not in_left:
-            lits.add(-s.var)
-        return nl + nr
+            m = 1 << counter[0]
+            counter[0] += 1
+            return m
+        lm = walk(s.left)
+        rm = walk(s.right)
+        masks.append((s.var, lm, rm))
+        return lm | rm
 
-    walk(t, 1)
+    walk(t)
+    return masks, counter[0]
+
+
+def _leaf_set_implicate(masks: list[tuple[int, int, int]], u0: int, nl: int,
+                        mv: int) -> Clause:
+    """C_V for the leaf set V with mask mv: the doping literals of V plus every
+    edge literal whose subtree meets V while the sibling subtree does not."""
+    lits = [u0 + i for i in range(nl) if mv >> i & 1]
+    for v, lm, rm in masks:
+        if mv & lm and not mv & rm:
+            lits.append(v)
+        elif mv & rm and not mv & lm:
+            lits.append(-v)
     return frozenset(lits)
 
 

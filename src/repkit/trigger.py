@@ -19,7 +19,7 @@ from math import comb
 
 from .core import Clause, ClauseSet, SizeLimitExceeded, complement
 from .reductions import clause_key
-from .trees import Tree, leaf_count, inner_count, tree_clauses
+from .trees import Tree, _first_doping_var, _leaf_set_implicate, _node_masks, leaf_count
 
 # depth_k_incomparable_family refuses a tree with more than this many
 # implicates (2^leaves - 1) before doing any work.
@@ -127,44 +127,11 @@ def matching_number(h: TriggerHypergraph) -> tuple[int, tuple[frozenset[Clause],
 # closed-form prime implicates of doped trees, and Sperner certificates
 # ---------------------------------------------------------------------------
 
-def _node_masks(t: Tree) -> tuple[list[tuple[int, int, int]], int]:
-    """Per inner node (var, left leaf mask, right leaf mask); plus leaf count.
-    Leaf i (1-based, left to right) is bit i-1."""
-    masks: list[tuple[int, int, int]] = []
-    counter = [0]
-
-    def walk(s: Tree) -> int:
-        if s.is_leaf:
-            m = 1 << counter[0]
-            counter[0] += 1
-            return m
-        lm = walk(s.left)
-        rm = walk(s.right)
-        masks.append((s.var, lm, rm))
-        return lm | rm
-
-    walk(t)
-    return masks, counter[0]
-
-
-def _leaf_set_implicate(masks: list[tuple[int, int, int]], u0: int, nl: int,
-                        mv: int) -> Clause:
-    """C_V for the leaf set V with mask mv: the doping literals of V plus every
-    edge literal whose subtree meets V while the sibling subtree does not."""
-    lits = [u0 + i for i in range(nl) if mv >> i & 1]
-    for v, lm, rm in masks:
-        if mv & lm and not mv & rm:
-            lits.append(v)
-        elif mv & rm and not mv & lm:
-            lits.append(-v)
-    return frozenset(lits)
-
-
 def doped_tree_implicates(t: Tree, first_doping_var: int | None = None):
     """Yield (leaf mask, C_V) for every non-empty leaf set V: exactly the
     prime implicates of dope(smuo(T)), 2^leaves - 1 in total."""
     masks, nl = _node_masks(t)
-    u0 = (inner_count(t) + 1) if first_doping_var is None else first_doping_var
+    u0 = _first_doping_var(t, first_doping_var)
     for mv in range(1, 1 << nl):
         yield mv, _leaf_set_implicate(masks, u0, nl, mv)
 
@@ -242,7 +209,7 @@ def depth_k_incomparable_family(t: Tree, k: int) -> DisjointEdgeCertificate:
     leaf_sets = [frozenset(i for s in subsets for i in s[pos]) for pos in range(count)]
 
     masks, nl = _node_masks(t)
-    u0 = inner_count(t) + 1
+    u0 = _first_doping_var(t)
     edge_clauses = []
     members = []
     for v in leaf_sets:

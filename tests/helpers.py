@@ -18,10 +18,11 @@ from repkit import (
 )
 
 
-def random_clause_set(rng, nv: int, nc: int, maxlen: int = 3) -> ClauseSet:
+def random_clause_set(rng, nv: int, nc: int, maxlen: int = 3,
+                      minlen: int = 1) -> ClauseSet:
     out = set()
     for _ in range(nc):
-        ln = rng.randint(1, maxlen)
+        ln = rng.randint(minlen, maxlen)
         vs = rng.sample(range(1, nv + 1), min(ln, nv))
         out.add(frozenset(v if rng.random() < .5 else -v for v in vs))
     return frozenset(out)

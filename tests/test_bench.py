@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -54,6 +55,23 @@ def test_instance_dimacs_deterministic_and_parsable():
     clauses, _ = bench.generate(spec)
     assert parsed == list(clauses)
     assert spec.name in text
+
+
+# sha256 of instance_dimacs for these rows, frozen before the doping builder,
+# the C_V closed form and cant/cantm were merged: the tree labels, doping
+# numbering, selector numbering and clause order stay byte for byte the same.
+PINNED_DIMACS_SHA256 = {
+    (2, 7, 1): "766fe396622064f7e4db50f44c7b6b6ae227c0d98649f9920f7fac9fb28e36be",
+    (2, 7, 2): "dc8e02848da041be3839018cae76a735d5a1370bee3a7200c44cf875e3f2b792",
+    (2, 7, 3): "725a73aca6e98ab79fd66b657c07a6ce03fa081015d1e32ad4931af23ae88f43",
+    (3, 5, 2): "c9c2502f712228dac930efe28734335fc4e867d5b7879d8a15a723020f1eae1e",
+}
+
+
+@pytest.mark.parametrize("row", sorted(PINNED_DIMACS_SHA256))
+def test_instance_dimacs_pinned_bytes(row):
+    text = bench.instance_dimacs(bench.InstanceSpec(*row))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_DIMACS_SHA256[row]
 
 
 def test_spec_validation():

@@ -3,6 +3,7 @@ import random
 import pytest
 
 import repkit as rk
+from repkit import reductions
 from helpers import (
     random_clause_set,
     hd_by_assignment_enumeration,
@@ -138,6 +139,19 @@ def test_w_hardness_oracle():
         if rk.is_satisfiable(f):
             continue
         assert rk.w_refutation_level(f) == whd_by_closure(f)
+    # 2-6 variables; dense sets of long clauses reach whd 3
+    rng = random.Random(18)
+    levels = set()
+    for _ in range(200):
+        nv = rng.randint(2, 6)
+        f = random_clause_set(rng, nv, rng.randint(2 * nv, 8 * nv), 3, rng.randint(1, 3))
+        if rk.is_satisfiable(f):
+            continue
+        reductions.clear_caches()
+        whd = rk.w_refutation_level(f)
+        assert whd == whd_by_closure(f)
+        levels.add(whd)
+    assert levels == {1, 2, 3}
 
 
 def test_w_hardness_unit_refutation():
@@ -150,6 +164,25 @@ def test_prime_implicates_vs_bruteforce():
     for _ in range(40):
         f = random_clause_set(rng, 4, 6)
         assert rk.prime_implicates(f) == rk.prime_implicates_bruteforce(f)
+    rng = random.Random(17)
+    for _ in range(300):
+        f = random_clause_set(rng, rng.randint(2, 6), rng.randint(1, 10), 4)
+        assert rk.prime_implicates(f) == rk.prime_implicates_bruteforce(f)
+
+
+def test_resolution_budgets_name_the_budget_and_limit():
+    f = rk.two_xor_system(4)
+    with pytest.raises(rk.SizeLimitExceeded,
+                       match=r"^resolution budget of 30 resolvents exhausted$"):
+        rk.prime_implicates(f, max_clauses=30)
+    # width 2 needs at most 30 resolvents, width 3 more
+    reductions.clear_caches()
+    with pytest.raises(rk.SizeLimitExceeded,
+                       match=r"^k-resolution \(width k = 3\) budget of 30 resolvents exhausted$"):
+        rk.w_refutation_level(f, max_clauses=30)
+    with pytest.raises(rk.SizeLimitExceeded, match=r"width k = 2\) budget of 3 "):
+        rk.w_refutation_level(f, max_clauses=3)
+    assert rk.w_refutation_level(f) == 3  # as whd_by_closure finds, in about 12 s
 
 
 def test_essential_prime_implicates():

@@ -4,7 +4,7 @@ import random
 import pytest
 
 import repkit as rk
-from helpers import random_dnf
+from helpers import random_dnf, ref_refutation_level
 
 
 def dnf_models(dnf, vs):
@@ -145,6 +145,10 @@ def test_two_xor_system():
         assert not rk.is_satisfiable(f)
     assert rk.hardness(rk.two_xor_system(3)).value == 3
     assert rk.hardness(rk.two_xor_system(4)).value == 4
+    # from n = 5 on the hardness falls below n; the frozen r_k agrees
+    for n, level in ((5, 4), (6, 5)):
+        f = rk.two_xor_system(n)
+        assert rk.refutation_level(f) == ref_refutation_level(f) == level
 
 
 def test_k_base_simple():

@@ -142,9 +142,25 @@ def test_clause_for_leaves_singletons():
     for _ in range(15):
         t = random_tree(rng, rng.randint(2, 5))
         d = rk.doped_tree(t)
-        first = rk.inner_count(t) + 1
+        first = max(rk.tree_labels(t)) + 1  # the default: after the largest label
         for i in range(1, rk.leaf_count(t) + 1):
             assert rk.clause_for_leaves(t, {i}, first) == d.ordered[i - 1]
+            assert rk.clause_for_leaves(t, {i}) == d.ordered[i - 1]
+
+
+def test_doping_variables_never_reuse_a_label():
+    # inner_count + 1 = 3 would make leaf 3's clause {-7, -5, 5}
+    t = rk.node(5, rk.LEAF, rk.node(7, rk.LEAF, rk.LEAF))
+    d = rk.doped_tree(t)
+    assert d.ordered == (rk.clause(5, 8), rk.clause(-5, 7, 9), rk.clause(-5, -7, 10))
+    assert not d.doping_vars & rk.tree_labels(t)
+    pairs = list(rk.doped_tree_implicates(t))
+    assert frozenset(c for _, c in pairs) == rk.prime_implicates(d.clauses)
+    for mask, c in pairs:
+        assert not any(-x in c for x in c)
+        assert rk.clause_for_leaves(t, {i for i in (1, 2, 3) if mask >> (i - 1) & 1}) == c
+    cert = rk.depth_k_incomparable_family(t, 1)
+    assert cert.clauses == (rk.clause(7, 8, 9),)
 
 
 def test_clause_for_leaves_example():

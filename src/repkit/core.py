@@ -6,6 +6,12 @@ DNF when a function explicitly says so; nothing in here depends on the reading
 except `canonical_dnf`, which produces DNF clauses from a CNF.
 
 Partial assignments are dicts variable -> 0/1.
+
+`_Trail` is the package's one unit-propagation engine, with two watched
+literals per clause (Moskewicz et al., "Chaff", DAC 2001).  `solve` runs
+DPLL (Davis, Logemann and Loveland, CACM 1962) on it without recursion,
+pushing decisions and undoing them by trail mark; r_k and r_inf in
+`reductions` run on it too.
 """
 
 from __future__ import annotations
@@ -119,54 +125,209 @@ def falsifying_assignment(c: Iterable[int]) -> Assignment:
     return {abs(x): (0 if x > 0 else 1) for x in c}
 
 
-def assign(phi: Assignment, lit: int, value: int) -> Assignment:
-    """phi extended by <lit -> value> (literal semantics: <x -> 1> makes x true)."""
-    out = dict(phi)
-    out[abs(lit)] = value if lit > 0 else 1 - value
-    return out
+class _Trail:
+    """Mutable propagation state of one clause-set: two watched literals per
+    clause, a value per literal and an assignment trail with undo.
 
+    Literal codes are 2*i (variable number i true) and 2*i + 1 (false), with
+    variables numbered 1.. in ascending order; code ^ 1 is the complement.
+    Every public method leaves the trail unit-propagated (or refuted).
+    """
 
-def single(lit: int, value: int = 1) -> Assignment:
-    return assign({}, lit, value)
+    def __init__(self, f: ClauseSet) -> None:
+        self.vars = sorted({abs(x) for c in f for x in c})
+        code = {}
+        for i, v in enumerate(self.vars, start=1):
+            code[v], code[-v] = 2 * i, 2 * i + 1
+        size = 2 * len(self.vars) + 2
+        self.value = [0] * size          # +1 true, -1 false, 0 unassigned
+        self.watches: list[list[int]] = [[] for _ in range(size)]
+        self.trail: list[int] = []
+        self.head = 0                    # trail[:head] is propagated
+        self.refuted = BOT in f
+        self.clauses = [[code[x] for x in c] for c in f if len(c) > 1]
+        for ci, c in enumerate(self.clauses):
+            self.watches[c[0]].append(ci)
+            self.watches[c[1]].append(ci)
+        for c in f:
+            if len(c) == 1 and not self.refuted:
+                self.refuted = not self.push(code[next(iter(c))])
+
+    def push(self, lit: int) -> bool:
+        """Assign lit and propagate; False on a conflict."""
+        v = self.value[lit]
+        if v:
+            return v > 0
+        self.value[lit] = 1
+        self.value[lit ^ 1] = -1
+        self.trail.append(lit)
+        return self._propagate()
+
+    def _propagate(self) -> bool:
+        """Unit propagation from trail[head:]; False on a conflict."""
+        value, watches, clauses, trail = self.value, self.watches, self.clauses, self.trail
+        head = self.head
+        while head < len(trail):
+            false = trail[head] ^ 1
+            head += 1
+            ws = watches[false]
+            i = j = 0
+            n = len(ws)
+            while i < n:
+                ci = ws[i]
+                i += 1
+                c = clauses[ci]
+                if c[0] == false:
+                    c[0], c[1] = c[1], false
+                other = c[0]
+                if value[other] > 0:
+                    ws[j] = ci
+                    j += 1
+                    continue
+                for p in range(2, len(c)):
+                    lit = c[p]
+                    if value[lit] >= 0:
+                        c[1], c[p] = lit, false
+                        watches[lit].append(ci)
+                        break
+                else:
+                    ws[j] = ci
+                    j += 1
+                    if value[other] < 0:
+                        del ws[j:i]  # keep the watchers not yet visited
+                        self.head = len(trail)
+                        return False
+                    value[other] = 1
+                    value[other ^ 1] = -1
+                    trail.append(other)
+            del ws[j:]
+        self.head = head
+        return True
+
+    def undo(self, mark: int) -> None:
+        value, trail = self.value, self.trail
+        for lit in trail[mark:]:
+            value[lit] = value[lit ^ 1] = 0
+        del trail[mark:]
+        self.head = mark
+
+    def _close(self, k: int) -> bool:
+        """Bring the propagated trail to an r_k fixpoint; False if refuted.
+
+        Failed-literal probing: <x -> 0> is pushed, brought to an r_{k-1}
+        fixpoint on this same trail, and popped again; when that refutes it,
+        x -> 1 is kept.  The scan is circular and stops
+        after a full round without a failed literal.  A literal that a
+        surviving probe of this round put on the trail cannot fail: its own
+        probe would reach a sub-assignment of that probe's r_{k-1} fixpoint.
+        """
+        if k < 2:
+            return True
+        value, trail = self.value, self.trail
+        lits = range(2, len(value))      # variable 1 true, 1 false, 2 true, ...
+        implied = [0] * len(value)       # round in which a probe reached it
+        rnd = 1
+        quiet = i = 0
+        while quiet < len(lits):
+            x = lits[i]
+            i = i + 1 if i + 1 < len(lits) else 0
+            quiet += 1
+            if value[x] or implied[x ^ 1] == rnd:
+                continue
+            mark = len(trail)
+            if self.push(x ^ 1) and (k == 2 or self._close(k - 1)):
+                for y in trail[mark:]:
+                    implied[y] = rnd
+                self.undo(mark)
+                continue
+            self.undo(mark)
+            if not self.push(x):
+                return False
+            rnd += 1
+            quiet = 0
+        return True
+
+    def raise_to(self, k: int) -> int | None:
+        """Close the trail under r_2, r_3, ..., r_k in turn; the first level
+        that refutes F (1 when r_1 already does), or None."""
+        if self.refuted:
+            return 1
+        for j in range(2, k + 1):
+            if not self._close(j):
+                return j
+        return None
+
+    def assignment(self) -> Assignment:
+        return {self.vars[(lit >> 1) - 1]: 1 - (lit & 1) for lit in self.trail}
+
+    def image(self, f: ClauseSet) -> ClauseSet:
+        """F under the trail's assignment."""
+        return apply_assignment(self.assignment(), f)
+
+    def model(self, max_nodes: int = 1 << 22) -> Assignment | None:
+        """DPLL from the trail: its assignment extended to satisfy every
+        clause, or None; the trail is left as it was.  Each decision opens a
+        node (the root is one too).  Branching is on the smallest variable of
+        a clause not yet satisfied, true first; the variables below a
+        decision stay irrelevant beneath it, so the scan resumes after it.
+        """
+        value, trail = self.value, self.trail
+        occ: list[list[int]] = [[] for _ in value]   # literal code -> its clauses
+        for ci, c in enumerate(self.clauses):
+            for lit in c:
+                occ[lit].append(ci)
+        sat = [0] * len(self.clauses)                # true literals per clause
+
+        def count(mark: int, delta: int) -> None:
+            for lit in trail[mark:]:
+                for ci in occ[lit]:
+                    sat[ci] += delta
+
+        count(0, 1)
+        base, last, nodes, start = len(trail), len(self.vars), 0, 1
+        stack: list[tuple[int, int]] = []            # (trail mark, decision)
+        ok = not self.refuted
+        try:
+            while True:
+                nodes += 1
+                if nodes > max_nodes:
+                    raise SizeLimitExceeded("DPLL node budget exhausted")
+                if stack:
+                    mark, decision = stack[-1]
+                    ok = self.push(decision)
+                    count(mark, 1)
+                if ok:
+                    v = start                         # the next variable to scan
+                    while v <= last and (value[2 * v] or all(sat[ci] for ci in occ[2 * v])
+                                         and all(sat[ci] for ci in occ[2 * v + 1])):
+                        v += 1
+                    if v > last:
+                        return self.assignment()
+                    stack.append((len(trail), 2 * v))
+                    start = v + 1
+                    continue
+                while stack:                          # backtrack
+                    mark, decision = stack.pop()
+                    count(mark, -1)
+                    self.undo(mark)
+                    if not decision & 1:
+                        stack.append((mark, decision | 1))
+                        start = (decision >> 1) + 1
+                        break
+                else:
+                    return None
+        finally:
+            self.undo(base)
 
 
 def is_satisfiable(f: ClauseSet, max_nodes: int = 1 << 22) -> bool:
-    """Plain DPLL with unit propagation; raises SizeLimitExceeded past budget."""
+    """DPLL on the trail; raises SizeLimitExceeded past max_nodes nodes."""
     return solve(f, max_nodes) is not None
 
 
 def solve(f: ClauseSet, max_nodes: int = 1 << 22) -> Assignment | None:
     """A satisfying partial assignment (total on the propagated part) or None."""
-    budget = [max_nodes]
-
-    def go(g: ClauseSet, phi: Assignment) -> Assignment | None:
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise SizeLimitExceeded("DPLL node budget exhausted")
-        # unit propagation
-        while True:
-            if BOT in g:
-                return None
-            units = [next(iter(c)) for c in g if len(c) == 1]
-            if not units:
-                break
-            phi = dict(phi)
-            for x in units:
-                if sat_lit(phi, x) == 0:
-                    return None
-                phi[abs(x)] = 1 if x > 0 else 0
-            g = apply_assignment(phi, g)
-        if not g:
-            return phi
-        # branch on the smallest variable, trying 1 first
-        v = min(variables(g))
-        for val in (1, 0):
-            res = go(apply_assignment({v: val}, g), {**phi, v: val})
-            if res is not None:
-                return res
-        return None
-
-    return go(f, {})
+    return _Trail(f).model(max_nodes)
 
 
 def total_assignments(vs: Iterable[int]) -> Iterator[Assignment]:

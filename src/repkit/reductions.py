@@ -13,21 +13,18 @@ r_{k-1} refutes <x -> 0> * F.  Refutation levels of the three hierarchies:
 Literal scans run in a fixed order (ascending variable, positive literal
 first), so results are reproducible; verdicts are order-independent anyway.
 
-r_1 (`propagate_units`) works on frozensets: it is cheapest for the many tiny
-clause-sets that r_inf, DPLL and phd at hd <= 1 see.  From k = 2 on, `reduce_r`
-and `refutation_level` run on `_Trail`, one mutable engine per call: clause
-lists with two watched literals each (Moskewicz et al., "Chaff", DAC 2001), a
-value per literal, and an assignment trail with undo.  Failed literals are
-probed by push, propagate and pop on that trail (Lynce and Marques-Silva,
-ICTAI 2003), recursing on the same trail for the r_{k-1} test, so no probe
-rebuilds the clause-set.  r_k is confluent, so the trail's final assignment
-applied to F is exactly r_k(F).
+Every r_k with k >= 1 runs on the propagation engine `core._Trail`, one per
+call; r_1 (`propagate_units`) is its unit propagation.  From k = 2 on,
+failed literals are probed by push, propagate and pop on the trail (Lynce
+and Marques-Silva, ICTAI 2003), recursing on it for the r_{k-1} test, so no
+probe rebuilds the clause-set.  r_k is confluent, so the trail's final
+assignment applied to F is exactly r_k(F).  r_inf probes each literal once
+on one trail, with the trail's DPLL as the test.
 
 hd and whd are maxima over the falsifying assignments of the prime
 implicates; phd is decided from the same prime implicates, with one r_hd run
 per (implicate, literal) pair instead of a walk over all instantiation
-images.  The only module-level memo is that of whd, emptied by
-`clear_caches`.
+images.  The module keeps no memo between calls.
 
 Prime implicates (no width bound) and whd (width k = 0, 1, ... in turn) run
 one resolution-saturation kernel, `_saturate`.
@@ -40,21 +37,14 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from .core import (
-    Assignment, BOT, BOT_SET, Clause, ClauseSet, SizeLimitExceeded,
+    Assignment, BOT, BOT_SET, Clause, ClauseSet, SizeLimitExceeded, _Trail,
     apply_assignment, complement, entails, falsifying_assignment,
-    is_satisfiable, literals, single, total_assignments, variables,
+    is_satisfiable, total_assignments, variables,
 )
-
-_WREF_MEMO: dict[ClauseSet, int] = {}
 
 
 def clear_caches() -> None:
-    _WREF_MEMO.clear()
-
-
-def _scan(f: ClauseSet) -> list[int]:
-    """Literals of F in scan order: ascending variable, positive first."""
-    return sorted(literals(f), key=lambda x: (abs(x), 0 if x > 0 else 1))
+    """Kept for callers that reset state between runs; nothing is cached."""
 
 
 def clause_key(c: Clause) -> tuple:
@@ -63,160 +53,7 @@ def clause_key(c: Clause) -> tuple:
 
 def propagate_units(f: ClauseSet) -> ClauseSet:
     """r_1: iterated unit-clause propagation."""
-    while True:
-        if BOT in f:
-            return BOT_SET
-        phi: Assignment = {}
-        for c in f:
-            if len(c) == 1:
-                x = next(iter(c))
-                if phi.get(abs(x)) == (0 if x > 0 else 1):
-                    return BOT_SET  # complementary units
-                phi[abs(x)] = 1 if x > 0 else 0
-        if not phi:
-            return f
-        f = apply_assignment(phi, f)
-
-
-class _Trail:
-    """Mutable r_k state of one clause-set: two watched literals per clause,
-    a value per literal and an assignment trail with undo.
-
-    Literal codes are 2*i (variable number i true) and 2*i + 1 (false), with
-    variables numbered 1.. in ascending order; code ^ 1 is the complement.
-    Every public method leaves the trail unit-propagated (or refuted).
-    """
-
-    def __init__(self, f: ClauseSet) -> None:
-        self.vars = sorted(variables(f))
-        index = {v: i for i, v in enumerate(self.vars, start=1)}
-        size = 2 * len(self.vars) + 2
-        self.value = [0] * size          # +1 true, -1 false, 0 unassigned
-        self.watches: list[list[int]] = [[] for _ in range(size)]
-        self.clauses: list[list[int]] = []
-        self.trail: list[int] = []
-        self.head = 0                    # trail[:head] is propagated
-        self.refuted = BOT in f
-        units = []
-        for c in f:
-            codes = [2 * index[abs(x)] + (x < 0) for x in c]
-            if len(codes) == 1:
-                units.append(codes[0])
-            elif codes:
-                self.watches[codes[0]].append(len(self.clauses))
-                self.watches[codes[1]].append(len(self.clauses))
-                self.clauses.append(codes)
-        for u in units:
-            self.refuted = self.refuted or not self._push(u)
-
-    def _push(self, lit: int) -> bool:
-        """Assign lit and propagate; False on a conflict."""
-        v = self.value[lit]
-        if v:
-            return v > 0
-        self.value[lit] = 1
-        self.value[lit ^ 1] = -1
-        self.trail.append(lit)
-        return self._propagate()
-
-    def _propagate(self) -> bool:
-        """Unit propagation from trail[head:]; False on a conflict."""
-        value, watches, clauses, trail = self.value, self.watches, self.clauses, self.trail
-        head = self.head
-        while head < len(trail):
-            false = trail[head] ^ 1
-            head += 1
-            ws = watches[false]
-            i = j = 0
-            n = len(ws)
-            while i < n:
-                ci = ws[i]
-                i += 1
-                c = clauses[ci]
-                if c[0] == false:
-                    c[0], c[1] = c[1], false
-                other = c[0]
-                if value[other] > 0:
-                    ws[j] = ci
-                    j += 1
-                    continue
-                for p in range(2, len(c)):
-                    lit = c[p]
-                    if value[lit] >= 0:
-                        c[1], c[p] = lit, false
-                        watches[lit].append(ci)
-                        break
-                else:
-                    ws[j] = ci
-                    j += 1
-                    if value[other] < 0:
-                        del ws[j:i]  # keep the watchers not yet visited
-                        self.head = len(trail)
-                        return False
-                    value[other] = 1
-                    value[other ^ 1] = -1
-                    trail.append(other)
-            del ws[j:]
-        self.head = head
-        return True
-
-    def _undo(self, mark: int) -> None:
-        value, trail = self.value, self.trail
-        for lit in trail[mark:]:
-            value[lit] = value[lit ^ 1] = 0
-        del trail[mark:]
-        self.head = mark
-
-    def _close(self, k: int) -> bool:
-        """Bring the propagated trail to an r_k fixpoint; False if refuted.
-
-        Failed-literal probing: <x -> 0> is pushed, brought to an r_{k-1}
-        fixpoint on this same trail, and popped again; when that refutes it,
-        x -> 1 is kept.  The scan is circular and stops
-        after a full round without a failed literal.  A literal that a
-        surviving probe of this round put on the trail cannot fail: its own
-        probe would reach a sub-assignment of that probe's r_{k-1} fixpoint.
-        """
-        if k < 2:
-            return True
-        value, trail = self.value, self.trail
-        lits = range(2, len(value))      # variable 1 true, 1 false, 2 true, ...
-        implied = [0] * len(value)       # round in which a probe reached it
-        rnd = 1
-        quiet = i = 0
-        while quiet < len(lits):
-            x = lits[i]
-            i = i + 1 if i + 1 < len(lits) else 0
-            quiet += 1
-            if value[x] or implied[x ^ 1] == rnd:
-                continue
-            mark = len(trail)
-            if self._push(x ^ 1) and (k == 2 or self._close(k - 1)):
-                for y in trail[mark:]:
-                    implied[y] = rnd
-                self._undo(mark)
-                continue
-            self._undo(mark)
-            if not self._push(x):
-                return False
-            rnd += 1
-            quiet = 0
-        return True
-
-    def raise_to(self, k: int) -> int | None:
-        """Close the trail under r_2, r_3, ..., r_k in turn; the first level
-        that refutes F (1 when r_1 already does), or None."""
-        if self.refuted:
-            return 1
-        for j in range(2, k + 1):
-            if not self._close(j):
-                return j
-        return None
-
-    def image(self, f: ClauseSet) -> ClauseSet:
-        """F under the trail's assignment."""
-        phi = {self.vars[(lit >> 1) - 1]: 1 - (lit & 1) for lit in self.trail}
-        return apply_assignment(phi, f)
+    return reduce_r(f, 1)
 
 
 def reduce_r(f: ClauseSet, k: int) -> ClauseSet:
@@ -225,8 +62,6 @@ def reduce_r(f: ClauseSet, k: int) -> ClauseSet:
         raise ValueError("k must be >= 0")
     if k == 0:
         return BOT_SET if BOT in f else f
-    if k == 1:
-        return propagate_units(f)
     t = _Trail(f)
     return BOT_SET if t.raise_to(k) is not None else t.image(f)
 
@@ -234,31 +69,35 @@ def reduce_r(f: ClauseSet, k: int) -> ClauseSet:
 def reduce_r_inf(f: ClauseSet) -> ClauseSet:
     """r_inf(F) = r_{n(F)}(F): the fixpoint of applying all forced assignments.
 
-    Computed directly: x is forced iff <x -> 0> * F is unsatisfiable.
+    Computed directly: x is forced iff <x -> 0> * F is unsatisfiable.  A
+    literal forced after others are applied is forced in F already, so one
+    pass over the literals, keeping each forced one on the trail, is enough.
+    A literal that the last model found does not make true is not forced.
     """
-    g = propagate_units(f)
-    if g is not BOT_SET and not is_satisfiable(g):
-        g = BOT_SET
-    while g is not BOT_SET:
-        for x in _scan(g):
-            if not is_satisfiable(apply_assignment(single(x, 0), g)):
-                g = propagate_units(apply_assignment(single(x, 1), g))
-                break
+    t = _Trail(f)
+    model = t.model()
+    if model is None:
+        return BOT_SET
+    for x in range(2, len(t.value)):
+        if t.value[x] or model.get(t.vars[(x >> 1) - 1]) != 1 - (x & 1):
+            continue
+        mark = len(t.trail)
+        found = t.model() if t.push(x ^ 1) else None
+        t.undo(mark)
+        if found is None:
+            t.push(x)
         else:
-            break
-    return g
+            model = found
+    return t.image(f)
 
 
 def refutation_level(f: ClauseSet) -> int:
     """hd(F) for unsatisfiable F: minimal k with r_k(F) = {bot}.
 
-    Levels 0 and 1 are decided without a trail; from level 2 on one trail
-    is raised level by level, each fixpoint starting the next.
+    One trail is raised level by level, each fixpoint starting the next.
     """
     if BOT in f:
         return 0
-    if propagate_units(f) is BOT_SET:
-        return 1
     level = _Trail(f).raise_to(len(variables(f)))
     if level is None:
         raise ValueError("refutation_level requires an unsatisfiable clause-set")
@@ -312,12 +151,8 @@ def hardness(f: ClauseSet, max_prime_clauses: int = 10 ** 6) -> HardnessReport:
 def w_refutation_level(f: ClauseSet, max_clauses: int = 10 ** 6) -> int:
     """whd(F) for unsatisfiable F: minimal k admitting a k-resolution
     refutation (each step uses a parent of length <= k)."""
-    hit = _WREF_MEMO.get(f)
-    if hit is not None:
-        return hit
     for k in range(len(variables(f)) + 1):
         if _saturate(f, k, max_clauses) is BOT_SET:
-            _WREF_MEMO[f] = k
             return k
     raise ValueError("w_refutation_level requires an unsatisfiable clause-set")
 

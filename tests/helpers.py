@@ -4,6 +4,8 @@ The oracles deliberately take different routes than the library:
 hardness by exhaustive recursion over partial assignments, p-hardness by
 its plain definition, width-bounded refutation by a subsumption-free
 closure.  Library results are checked against these on small inputs.
+The ref_* functions are frozen copies of implementations the library has
+replaced; they rebuild the clause-set where the library uses its trail.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ import itertools
 import math
 
 from repkit import (
-    BOT, BOT_SET, Clause, ClauseSet, LEAF, Tree, apply_assignment, hardness,
-    inner_count, is_satisfiable, leaf_count, literals, reduce_r, reduce_r_inf,
+    BOT, BOT_SET, Clause, ClauseSet, LEAF, SizeLimitExceeded, Tree,
+    apply_assignment, hardness, inner_count, leaf_count, literals, reduce_r,
     refutation_level, variables,
 )
 
@@ -52,7 +54,7 @@ def hd_by_assignment_enumeration(f: ClauseSet) -> int:
         hit = memo.get(g)
         if hit is not None:
             return hit
-        if not is_satisfiable(g):
+        if ref_solve(g) is None:
             v = refutation_level(g)
         else:
             v = 0
@@ -75,7 +77,7 @@ def phd_by_definition(f: ClauseSet) -> int:
     """Least k with r_k(phi * F) = r_inf(phi * F) for every phi, literally."""
     images = {frozenset(apply_assignment(phi, f))
               for phi in all_partial_assignments(variables(f))}
-    targets = {g: reduce_r_inf(g) for g in images}
+    targets = {g: ref_reduce_r_inf(g) for g in images}
     for k in itertools.count():
         if all(reduce_r(g, k) == t for g, t in targets.items()):
             return k
@@ -129,6 +131,54 @@ def ref_refutation_level(f: ClauseSet) -> int:
         if ref_reduce_r(f, k) == BOT_SET:
             return k
     raise ValueError("refutation_level requires an unsatisfiable clause-set")
+
+
+# Frozen reference DPLL and r_inf: the recursive solver and the rebuild loop
+# that the trail engine in repkit.core replaced.  Every node and every probe
+# works on a rebuilt image of the clause-set.
+def ref_solve(f: ClauseSet, max_nodes: int = 1 << 22):
+    budget = [max_nodes]
+
+    def go(g: ClauseSet, phi):
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise SizeLimitExceeded("DPLL node budget exhausted")
+        while True:
+            if BOT in g:
+                return None
+            units = [next(iter(c)) for c in g if len(c) == 1]
+            if not units:
+                break
+            phi = dict(phi)
+            for x in units:
+                if phi.get(abs(x)) == (0 if x > 0 else 1):
+                    return None
+                phi[abs(x)] = 1 if x > 0 else 0
+            g = apply_assignment(phi, g)
+        if not g:
+            return phi
+        v = min(variables(g))
+        for val in (1, 0):
+            res = go(apply_assignment({v: val}, g), {**phi, v: val})
+            if res is not None:
+                return res
+        return None
+
+    return go(f, {})
+
+
+def ref_reduce_r_inf(f: ClauseSet) -> ClauseSet:
+    g = ref_propagate_units(f)
+    if g != BOT_SET and ref_solve(g) is None:
+        g = BOT_SET
+    while g != BOT_SET:
+        for x in sorted(literals(g), key=lambda x: (abs(x), 0 if x > 0 else 1)):
+            if ref_solve(apply_assignment({abs(x): 0 if x > 0 else 1}, g)) is None:
+                g = ref_propagate_units(apply_assignment({abs(x): 1 if x > 0 else 0}, g))
+                break
+        else:
+            break
+    return g
 
 
 def kres_refutes_nosubsumption(f: ClauseSet, k: int, cap: int = 10 ** 5) -> bool:
@@ -199,7 +249,7 @@ def ref_p_hardness(f: ClauseSet) -> int:
         if g in seen:
             continue
         seen.add(g)
-        if reduce_r(g, hd) != reduce_r_inf(g):
+        if reduce_r(g, hd) != ref_reduce_r_inf(g):
             return hd + 1
         for v in variables(g):
             for val in (0, 1):

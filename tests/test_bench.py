@@ -131,6 +131,14 @@ def test_cli_generate_and_analyze(tmp_path, capsys):
     assert rc == 0 and "3" in out
 
 
+def test_cli_analyze_sat_on_a_long_chain(tmp_path, capsys):
+    # 1000 binary clauses over disjoint variables: DPLL branches 1000 deep
+    path = tmp_path / "chain.cnf"
+    path.write_text(rk.emit_dimacs([rk.clause(2 * i - 1, 2 * i) for i in range(1, 1001)]))
+    rc, out = run_cli(capsys, "analyze", "--measure", "sat", str(path))
+    assert rc == 0 and '"satisfiable": true' in out
+
+
 def test_cli_tree_and_translate(tmp_path, capsys):
     rc, out = run_cli(capsys, "tree", "--k", "2", "--h", "2", "--emit", "dot")
     assert rc == 0 and out.startswith("digraph")

@@ -57,6 +57,13 @@ def test_solve_returns_model():
     assert phi is not None and rk.apply_assignment(phi, f) == rk.TOP
 
 
+def test_solve_deep_search_does_not_recurse():
+    # every decision opens a new level: 1000 of them on a satisfiable 2-CNF
+    f = rk.clause_set([[2 * i - 1, 2 * i] for i in range(1, 1001)])
+    phi = rk.solve(f)
+    assert phi is not None and rk.apply_assignment(phi, f) == rk.TOP
+
+
 def test_models_and_canonical_dnf():
     f = rk.clause_set([[1, 2]])
     dnf = rk.canonical_dnf(f)

@@ -1,7 +1,9 @@
-"""The trail-based r_k engine against the frozen whole-clause-set reference.
+"""The trail engine against the frozen whole-clause-set references.
 
 r_k is confluent, so the engine must return the very clause-set of the
-reference, not only the same verdict.
+reference, not only the same verdict.  DPLL keeps the reference's branching
+rule, so it must return the same model and run out of nodes at the same
+point.
 """
 
 import random
@@ -11,7 +13,30 @@ from hypothesis import given, settings, strategies as st
 
 import repkit as rk
 from repkit import bench
-from helpers import random_clause_set, ref_reduce_r, ref_refutation_level
+from helpers import (
+    random_clause_set, ref_propagate_units, ref_reduce_r, ref_reduce_r_inf,
+    ref_refutation_level, ref_solve,
+)
+
+BUDGETS = (1, 2, 3, 5, 8)
+
+
+def outcome(fn, *args):
+    """The result, or the message of the budget error raised instead."""
+    try:
+        return fn(*args)
+    except rk.SizeLimitExceeded as e:
+        return ("SizeLimitExceeded", str(e))
+
+
+def assert_engine_matches_reference(f):
+    phi = rk.solve(f)
+    assert phi == ref_solve(f), sorted(map(sorted, f))
+    assert rk.is_satisfiable(f) == (phi is not None)
+    for m in BUDGETS:
+        assert outcome(rk.solve, f, m) == outcome(ref_solve, f, m), (sorted(map(sorted, f)), m)
+    assert rk.propagate_units(f) == ref_propagate_units(f)
+    assert rk.reduce_r_inf(f) == ref_reduce_r_inf(f), sorted(map(sorted, f))
 
 
 def test_reduce_r_equals_reference_on_random_corpus():
@@ -23,6 +48,20 @@ def test_reduce_r_equals_reference_on_random_corpus():
             assert rk.reduce_r(f, k) == ref_reduce_r(f, k), (sorted(map(sorted, f)), k)
         if not rk.is_satisfiable(f):
             assert rk.refutation_level(f) == ref_refutation_level(f)
+
+
+def test_dpll_and_r_inf_equal_reference_on_random_corpus():
+    rng = random.Random(22)
+    sat = unsat = 0
+    for _ in range(2000):
+        nv = rng.randint(1, 9)
+        f = random_clause_set(rng, nv, rng.randint(0, 4 * nv), rng.randint(1, 4))
+        assert_engine_matches_reference(f)
+        sat += rk.is_satisfiable(f)
+        unsat += not rk.is_satisfiable(f)
+    assert sat > 300 and unsat > 300
+    for f in (rk.TOP, rk.BOT_SET, rk.BOT_SET | {rk.clause(1)}, rk.clause_set([[1], [-1, 2]])):
+        assert_engine_matches_reference(f)
 
 
 def test_failed_literal_found_late_enables_an_earlier_one():
@@ -43,6 +82,17 @@ def test_g_instances_equal_reference(k, h, variant):
     # a satisfiable image: one clause dropped leaves a non-trivial r_2 result
     g = f - {min(f, key=rk.reductions.clause_key)}
     assert rk.reduce_r(g, 2) == ref_reduce_r(g, 2)
+
+
+G_INSTANCES_DPLL = [(2, h, v) for h in range(3, 8) for v in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("k,h,variant", G_INSTANCES_DPLL)
+def test_g_instances_dpll_and_r_inf_equal_reference(k, h, variant):
+    clauses, _ = bench.generate(bench.InstanceSpec(k, h, variant))
+    f = frozenset(clauses)
+    assert_engine_matches_reference(f)
+    assert_engine_matches_reference(f - {min(f, key=rk.reductions.clause_key)})
 
 
 @st.composite

@@ -33,7 +33,16 @@ BOT_SET: ClauseSet = frozenset({BOT})
 
 
 class SizeLimitExceeded(Exception):
-    """An enumeration or search exceeded its configured size budget."""
+    """An enumeration or search exceeded its configured size budget.
+
+    Where set, `budget` names the budget that ran out, `limit` is its
+    configured size and `progress` the count that went past it.
+    """
+
+    def __init__(self, message: str, *, budget: str | None = None,
+                 limit: int | None = None, progress: int | None = None):
+        super().__init__(message)
+        self.budget, self.limit, self.progress = budget, limit, progress
 
 
 class DimacsError(ValueError):
@@ -291,7 +300,8 @@ class _Trail:
             while True:
                 nodes += 1
                 if nodes > max_nodes:
-                    raise SizeLimitExceeded("DPLL node budget exhausted")
+                    raise SizeLimitExceeded("DPLL node budget exhausted", budget="DPLL node",
+                                            limit=max_nodes, progress=nodes)
                 if stack:
                     mark, decision = stack[-1]
                     ok = self.push(decision)

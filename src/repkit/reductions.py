@@ -27,7 +27,11 @@ per (implicate, literal) pair instead of a walk over all instantiation
 images.  The module keeps no memo between calls.
 
 Prime implicates (no width bound) and whd (width k = 0, 1, ... in turn) run
-one resolution-saturation kernel, `_saturate`.
+one resolution-saturation kernel, `_saturate`.  It holds each clause as an
+int literal bitmask, so resolution and subsumption are int operations, and
+indexes its database by each clause's highest bit for forward subsumption
+(clause signatures and occurrence lists after Een and Biere, "Effective
+preprocessing in SAT through variable and clause elimination", SAT 2005).
 """
 
 from __future__ import annotations
@@ -35,6 +39,8 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import and_
 
 from .core import (
     Assignment, BOT, BOT_SET, Clause, ClauseSet, SizeLimitExceeded, _Trail,
@@ -238,42 +244,71 @@ def prime_implicates(f: ClauseSet, max_clauses: int = 10 ** 6) -> ClauseSet:
     return _saturate(f, None, max_clauses)
 
 
-def _resolve(c: Clause, d: Clause) -> Clause | None:
-    """Resolvent of two clauses clashing in exactly one literal, else None."""
-    clash = [x for x in c if -x in d]
-    if len(clash) != 1:
-        return None
-    x = clash[0]
-    return (c - {x}) | (d - {-x})
-
-
 def _saturate(f: ClauseSet, k: int | None, max_clauses: int) -> ClauseSet:
     """Resolution closure of F with subsumption: {bot} once the empty clause
     is derived, else the subsumption-minimal clauses (primec_0(F) when k is
-    None).  With a width k each step needs a parent of length <= k."""
-    db: list[Clause] = []
-    pending = deque(sorted(f, key=clause_key))
-    queued: set[Clause] = set(pending)
+    None).  With a width k each step needs a parent of length <= k.
+
+    A clause is an int bitmask over sorted(var(F)): bit 2i is the i-th
+    variable and bit 2i + 1 its negation.  Swapping the even and odd bits
+    complements every literal, so c clashes with d in swap(c) & d; c <= d is
+    c & ~d == 0, and the length is the popcount.  Besides its insertion
+    order, the database is indexed by each clause's highest bit, and the
+    buckets of that index are what is returned.  A clause contained in c has
+    its highest bit in c, so forward subsumption scans only the buckets of
+    c's own bits, highest first.  Clauses are taken in clause_key order,
+    then first in, first out, and resolved with the database in insertion
+    order, so the resolvents and the budget count come out in the same order
+    as with clauses held as sets of literals.
+    """
+    vs = sorted(variables(f))
+    lits = [x for v in vs for x in (v, -v)]
+    bit = {x: 1 << i for i, x in enumerate(lits)}
+    full = (1 << len(lits)) - 1
+    even = full // 3                              # 0b0101...01: the positive literals
+    db: dict[int, None] = {}                      # insertion order, O(1) removal
+    by_top: dict[int, set[int]] = {}              # highest bit -> clauses of db
+    pending = deque(sum(map(bit.__getitem__, c)) for c in sorted(f, key=clause_key))
+    queued = set(pending)
     generated = 0
     while pending:
         c = pending.popleft()
         if not c:
             return BOT_SET
-        if any(d <= c for d in db):
+        outside = full ^ c
+        rest = c                                  # the bits whose bucket is still to scan
+        while rest:
+            top = 1 << (rest.bit_length() - 1)
+            bucket = by_top.get(top)
+            if bucket and not all(map(and_, repeat(outside), bucket)):
+                break                             # a clause of the bucket lies in c
+            rest ^= top
+        if rest:
             continue
-        db = [d for d in db if not c <= d]
-        partners = db if k is None or len(c) <= k else [d for d in db if len(d) <= k]
+        for d in [d for d in db if d & c == c]:   # c <= d
+            del db[d]
+            by_top[1 << (d.bit_length() - 1)].remove(d)
+        partners = db if k is None or c.bit_count() <= k else \
+            [d for d in db if d.bit_count() <= k]
+        sc = ((c >> 1) & even) | ((c & even) << 1)
         for d in partners:
-            r = _resolve(c, d)
-            if r is not None and r not in queued:
-                queued.add(r)
-                pending.append(r)
-                generated += 1
-        db.append(c)
+            clash = sc & d
+            if clash and not clash & (clash - 1):     # exactly one clashing literal
+                # drop it from d and its complement from c
+                r = (c ^ (clash << 1 if clash & even else clash >> 1)) | (d ^ clash)
+                if r not in queued:
+                    queued.add(r)
+                    pending.append(r)
+                    generated += 1
+        db[c] = None
+        by_top.setdefault(1 << (c.bit_length() - 1), set()).add(c)
         if generated > max_clauses:
             budget = "resolution" if k is None else f"k-resolution (width k = {k})"
-            raise SizeLimitExceeded(f"{budget} budget of {max_clauses} resolvents exhausted")
-    return frozenset(db)
+            raise SizeLimitExceeded(f"{budget} budget of {max_clauses} resolvents exhausted",
+                                    budget=budget, limit=max_clauses, progress=generated)
+    shifts = range(len(lits))
+    return frozenset(frozenset(compress(lits, map((1).__and__, map(d.__rshift__, shifts))))
+                     for bucket in by_top.values() for d in bucket)
 
 
 def prime_implicates_bruteforce(f: ClauseSet, max_vars: int = 8) -> ClauseSet:

@@ -5,19 +5,22 @@ hardness by exhaustive recursion over partial assignments, p-hardness by
 its plain definition, width-bounded refutation by a subsumption-free
 closure.  Library results are checked against these on small inputs.
 The ref_* functions are frozen copies of implementations the library has
-replaced; they rebuild the clause-set where the library uses its trail.
+replaced; they rebuild the clause-set where the library uses its trail, and
+hold clauses as frozensets where its resolution kernel uses bitmasks.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 
 from repkit import (
     BOT, BOT_SET, Clause, ClauseSet, LEAF, SizeLimitExceeded, Tree,
     apply_assignment, hardness, inner_count, leaf_count, literals, reduce_r,
     refutation_level, variables,
 )
+from repkit.reductions import clause_key
 
 
 def random_clause_set(rng, nv: int, nc: int, maxlen: int = 3,
@@ -179,6 +182,44 @@ def ref_reduce_r_inf(f: ClauseSet) -> ClauseSet:
         else:
             break
     return g
+
+
+# Frozen reference resolution kernel: the saturation loop on frozenset
+# clauses that the bitmask kernel repkit.reductions._saturate replaced.  Each
+# new clause is checked for subsumption against the whole database and
+# resolved against every (width-eligible) database clause.
+def _ref_resolve(c: Clause, d: Clause) -> Clause | None:
+    clash = [x for x in c if -x in d]
+    if len(clash) != 1:
+        return None
+    x = clash[0]
+    return (c - {x}) | (d - {-x})
+
+
+def ref_saturate(f: ClauseSet, k: int | None, max_clauses: int) -> ClauseSet:
+    db: list[Clause] = []
+    pending = deque(sorted(f, key=clause_key))
+    queued: set[Clause] = set(pending)
+    generated = 0
+    while pending:
+        c = pending.popleft()
+        if not c:
+            return BOT_SET
+        if any(d <= c for d in db):
+            continue
+        db = [d for d in db if not c <= d]
+        partners = db if k is None or len(c) <= k else [d for d in db if len(d) <= k]
+        for d in partners:
+            r = _ref_resolve(c, d)
+            if r is not None and r not in queued:
+                queued.add(r)
+                pending.append(r)
+                generated += 1
+        db.append(c)
+        if generated > max_clauses:
+            budget = "resolution" if k is None else f"k-resolution (width k = {k})"
+            raise SizeLimitExceeded(f"{budget} budget of {max_clauses} resolvents exhausted")
+    return frozenset(db)
 
 
 def kres_refutes_nosubsumption(f: ClauseSet, k: int, cap: int = 10 ** 5) -> bool:

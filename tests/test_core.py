@@ -64,6 +64,15 @@ def test_solve_deep_search_does_not_recurse():
     assert phi is not None and rk.apply_assignment(phi, f) == rk.TOP
 
 
+def test_dpll_budget_names_the_budget_limit_and_progress():
+    f = rk.clause_set([[1, 2], [-1, 2], [1, -2], [-1, -2]])
+    for m in (1, 2):
+        with pytest.raises(rk.SizeLimitExceeded, match="^DPLL node budget exhausted$") as info:
+            rk.solve(f, m)
+        assert (info.value.budget, info.value.limit, info.value.progress) == ("DPLL node", m, m + 1)
+    assert rk.solve(f, 3) is None
+
+
 def test_models_and_canonical_dnf():
     f = rk.clause_set([[1, 2]])
     dnf = rk.canonical_dnf(f)
@@ -148,3 +157,24 @@ def test_apply_composes(cls, phi, psi):
     psi = {v: b for v, b in psi.items() if v not in phi}
     assert rk.apply_assignment(psi, rk.apply_assignment(phi, f)) == \
         rk.apply_assignment({**phi, **psi}, f)
+
+
+@st.composite
+def dimacs_clause_sets(draw):
+    """Clause-sets over sparse, multi-digit variables, the empty clause included."""
+    vs = draw(st.lists(st.integers(1, 10 ** 4), min_size=1, max_size=8, unique=True))
+    cls = draw(st.sets(
+        st.sets(st.sampled_from(vs), max_size=len(vs)).flatmap(
+            lambda c: st.tuples(*(st.sampled_from([v, -v]) for v in sorted(c)))),
+        max_size=10))
+    return frozenset(frozenset(c) for c in cls)
+
+
+@given(dimacs_clause_sets(), st.lists(st.text("abc xyz", max_size=8), max_size=2))
+@settings(max_examples=100, deadline=None)
+def test_dimacs_roundtrip_clause_sets(cs, comments):
+    text = rk.emit_dimacs(cs, comments=comments)
+    parsed, fmt = rk.parse_dimacs(text)
+    assert fmt == "cnf"
+    assert parsed == sorted(cs, key=rk.reductions.clause_key)
+    assert rk.parse_dimacs(rk.emit_dimacs(cs, num_vars=10 ** 4))[0] == parsed

@@ -1,14 +1,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repkit as rk
 from repkit import reductions
 from helpers import (
+    all_shapes,
     random_clause_set,
     hd_by_assignment_enumeration,
     phd_by_definition,
     ref_p_hardness,
+    ref_saturate,
     whd_by_closure,
 )
 
@@ -173,16 +176,65 @@ def test_prime_implicates_vs_bruteforce():
 def test_resolution_budgets_name_the_budget_and_limit():
     f = rk.two_xor_system(4)
     with pytest.raises(rk.SizeLimitExceeded,
-                       match=r"^resolution budget of 30 resolvents exhausted$"):
+                       match=r"^resolution budget of 30 resolvents exhausted$") as info:
         rk.prime_implicates(f, max_clauses=30)
+    assert (info.value.budget, info.value.limit, info.value.progress) == ("resolution", 30, 32)
     # width 2 needs at most 30 resolvents, width 3 more
     reductions.clear_caches()
     with pytest.raises(rk.SizeLimitExceeded,
-                       match=r"^k-resolution \(width k = 3\) budget of 30 resolvents exhausted$"):
+                       match=r"^k-resolution \(width k = 3\) budget of 30 resolvents exhausted$") as info:
         rk.w_refutation_level(f, max_clauses=30)
-    with pytest.raises(rk.SizeLimitExceeded, match=r"width k = 2\) budget of 3 "):
+    assert (info.value.budget, info.value.limit, info.value.progress) == \
+        ("k-resolution (width k = 3)", 30, 32)
+    with pytest.raises(rk.SizeLimitExceeded, match=r"width k = 2\) budget of 3 ") as info:
         rk.w_refutation_level(f, max_clauses=3)
+    assert (info.value.budget, info.value.limit, info.value.progress) == \
+        ("k-resolution (width k = 2)", 3, 4)
     assert rk.w_refutation_level(f) == 3  # as whd_by_closure finds, in about 12 s
+
+
+def assert_kernel_matches_frozen(f, budgets=(10 ** 6,)):
+    """Same clause-set as the frozen kernel, or the same budget message."""
+    for k in (None, 0, 1, 2, 3):
+        for m in budgets:
+            try:
+                want = ref_saturate(f, k, m)
+            except rk.SizeLimitExceeded as e:
+                want = str(e)
+            try:
+                got = reductions._saturate(f, k, m)
+            except rk.SizeLimitExceeded as e:
+                got = str(e)
+                assert got == f"{e.budget} budget of {m} resolvents exhausted"
+                assert e.limit == m and e.progress > m
+            assert got == want, (sorted(map(sorted, f)), k, m)
+
+
+def test_saturate_equals_frozen_kernel():
+    rng = random.Random(18)
+    kinds = set()
+    for i in range(1200):
+        nv = rng.randint(1, 8)
+        f = random_clause_set(rng, nv, rng.randint(0, 3 * nv), rng.randint(1, 4))
+        if i % 10 == 0:                          # a clause holding x and -x
+            v = rng.randint(1, nv)
+            f |= {frozenset({v, -v, rng.choice((1, -1)) * rng.randint(1, nv)})}
+        elif i % 10 == 1:
+            f |= {rk.BOT}
+        assert_kernel_matches_frozen(f, (10 ** 6, 4))
+        kinds |= {kind for kind, hit in (("top", not f), ("bot", rk.BOT in f),
+                                          ("unit", any(len(c) == 1 for c in f))) if hit}
+    assert kinds == {"top", "bot", "unit"}
+    for f in (rk.TOP, rk.BOT_SET, rk.clause_set([[1]]), rk.clause_set([[1], [-1]])):
+        assert_kernel_matches_frozen(f)
+    for n in (7, 8, 9):
+        for shape in rng.sample(all_shapes(n), 2):
+            assert_kernel_matches_frozen(rk.doped_tree(rk.label_bfs(shape)).clauses)
+    for n in (3, 4):
+        assert_kernel_matches_frozen(rk.two_xor_system(n))
+    ladder = (0, 1, 2, 3, 5, 8, 13, 30, 100)
+    assert_kernel_matches_frozen(rk.two_xor_system(4), ladder)
+    assert_kernel_matches_frozen(rk.doped_tree(rk.label_bfs(all_shapes(8)[100])).clauses, ladder)
 
 
 def test_essential_prime_implicates():
@@ -241,3 +293,21 @@ def test_hardness_witness_checks_out():
     f = rk.clause_set([[1, 2], [-1, 2], [1, -2], [-1, -2]])
     rep = rk.hardness(f)
     assert rep.kind == "hd" and rep.exact
+
+
+@st.composite
+def small_clause_sets(draw):
+    """Clause-sets over at most 6 variables; the empty clause may occur."""
+    n = draw(st.integers(1, 6))
+    cls = draw(st.lists(
+        st.sets(st.integers(1, n), max_size=n).flatmap(
+            lambda vs: st.tuples(*(st.sampled_from([v, -v]) for v in sorted(vs)))),
+        max_size=10))
+    return rk.clause_set(cls)
+
+
+@given(small_clause_sets())
+@settings(max_examples=150, deadline=None)
+def test_measures_are_ordered(f):
+    hd = rk.hardness(f).value
+    assert rk.w_hardness(f).value <= hd <= rk.p_hardness(f).value <= hd + 1

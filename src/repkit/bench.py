@@ -16,13 +16,12 @@ order.  Generation is bit-deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 
 from .core import Clause, emit_dimacs, is_satisfiable
 from .reductions import refutation_level
 from .translate import cant, cantm, complement_clauses
-from .trees import alpha, doped_tree, extremal_tree
+from .trees import _extremal_fold, alpha, doped_tree, extremal_tree
 
 
 @dataclass(frozen=True)
@@ -58,18 +57,10 @@ class StatsRecord:
     b_m: int      # binomial(1+h-k, floor((1+h-k)/2)), m = 1+h-k leaves
 
 
-@lru_cache(maxsize=None)
 def _leaf_depth_sum(k: int, h: int) -> int:
-    """Sum of leaf depths of the extremal tree of parameters (k, h)."""
-    if k == 0:
-        return 0
-    if k == 1:
-        if h == 1:
-            return 2
-        return _leaf_depth_sum(1, h - 1) + alpha(1, h - 1) + 1
-    kl = min(k, h - 1)
-    return (_leaf_depth_sum(kl, h - 1) + alpha(kl, h - 1)
-            + _leaf_depth_sum(k - 1, h - 1) + alpha(k - 1, h - 1))
+    """Sum of leaf depths of the extremal tree of parameters (k, h), by the
+    row DP of extremal_shape over (leaf count, leaf depth sum) pairs."""
+    return _extremal_fold(k, h, (1, 0), lambda l, r: (l[0] + r[0], sum(l) + sum(r)))[1]
 
 
 def stats(spec: InstanceSpec) -> StatsRecord:

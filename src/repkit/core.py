@@ -367,7 +367,8 @@ def canonical_dnf(f: ClauseSet, max_vars: int = 20) -> ClauseSet:
     """
     vs = variables(f)
     if len(vs) > max_vars:
-        raise SizeLimitExceeded(f"canonical_dnf over {len(vs)} > {max_vars} variables")
+        raise SizeLimitExceeded(f"canonical_dnf over {len(vs)} > {max_vars} variables",
+                                budget="variables", limit=max_vars, progress=len(vs))
     out = set()
     for phi in models(f, vs):
         out.add(frozenset(v if b else -v for v, b in phi.items()))

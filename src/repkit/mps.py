@@ -110,7 +110,8 @@ def mps_subsets(f: ClauseSet, max_clauses: int = 10 ** 6) -> frozenset[MpsWitnes
 def mps_subsets_direct(f: ClauseSet, max_clauses: int = 16) -> frozenset[MpsWitness]:
     """Independent oracle: test every non-empty subset with is_mps."""
     if len(f) > max_clauses:
-        raise SizeLimitExceeded(f"direct mps enumeration over {len(f)} clauses")
+        raise SizeLimitExceeded(f"direct mps enumeration over {len(f)} clauses",
+                                budget="clauses", limit=max_clauses, progress=len(f))
     cs = sorted(f, key=clause_key)
     out = set()
     for r in range(1, len(cs) + 1):

@@ -26,7 +26,7 @@ implicates; phd is decided from the same prime implicates, with one r_hd run
 per (implicate, literal) pair instead of a walk over all instantiation
 images.  The module keeps no memo between calls.
 
-Prime implicates (no width bound) and whd (width k = 0, 1, ... in turn) run
+Prime implicates (no width bound) and whd (width k = 1, 2, ... in turn) run
 one resolution-saturation kernel, `_saturate`.  It holds each clause as an
 int literal bitmask, so resolution and subsumption are int operations, and
 indexes its database by each clause's highest bit for forward subsumption
@@ -157,7 +157,9 @@ def hardness(f: ClauseSet, max_prime_clauses: int = 10 ** 6) -> HardnessReport:
 def w_refutation_level(f: ClauseSet, max_clauses: int = 10 ** 6) -> int:
     """whd(F) for unsatisfiable F: minimal k admitting a k-resolution
     refutation (each step uses a parent of length <= k)."""
-    for k in range(len(variables(f)) + 1):
+    if BOT in f:
+        return 0
+    for k in range(1, len(variables(f)) + 1):
         if _saturate(f, k, max_clauses) is BOT_SET:
             return k
     raise ValueError("w_refutation_level requires an unsatisfiable clause-set")
@@ -189,8 +191,10 @@ def p_hardness(f: ClauseSet, max_vars: int = 14) -> HardnessReport:
     that fails is the witness of value hd + 1, an instance on which r_hd
     and r_inf differ.  The witness of value hd is the empty assignment.
     """
-    if len(variables(f)) > max_vars:
-        raise SizeLimitExceeded(f"p_hardness over {len(variables(f))} > {max_vars} variables")
+    n = len(variables(f))
+    if n > max_vars:
+        raise SizeLimitExceeded(f"p_hardness over {n} > {max_vars} variables",
+                                budget="variables", limit=max_vars, progress=n)
     rep, prime = _max_over_prime_implicates(f, "hd", refutation_level)
     hd = rep.value
     for c in sorted(prime, key=clause_key):
@@ -318,7 +322,8 @@ def prime_implicates_bruteforce(f: ClauseSet, max_vars: int = 8) -> ClauseSet:
     """
     vs = sorted(variables(f))
     if len(vs) > max_vars:
-        raise SizeLimitExceeded(f"bruteforce prime implicates over {len(vs)} variables")
+        raise SizeLimitExceeded(f"bruteforce prime implicates over {len(vs)} variables",
+                                budget="variables", limit=max_vars, progress=len(vs))
     implicates = []
     stack: list[tuple[int, tuple[int, ...]]] = [(0, ())]
     while stack:

@@ -202,8 +202,10 @@ def extension_property(fp: ClauseSet, original_vars, dnf=None,
     """
     orig = sorted(set(original_vars))
     aux = sorted(variables(fp) - set(orig))
-    if len(orig) + len(aux) > max_vars:
-        raise SizeLimitExceeded("extension_property enumeration too large")
+    n = len(orig) + len(aux)
+    if n > max_vars:
+        raise SizeLimitExceeded("extension_property enumeration too large",
+                                budget="variables", limit=max_vars, progress=n)
     uep = True
     for phi in total_assignments(orig):
         g = apply_assignment(phi, fp)

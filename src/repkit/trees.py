@@ -6,12 +6,14 @@ the literals along its path, where an edge to the left child carries the
 parent's label positively, to the right child negatively.  tsmuo inverts this.
 
 Leaves are numbered 1..#leaves in left-to-right (in-order) order; extremal
-trees get their inner labels breadth-first.
+trees get their inner labels breadth-first.  One traversal owns that order:
+_walk, a pre-order walk on an explicit stack.  Every walk over a Tree goes
+through it (the bottom-up ones through _fold), and nothing here recurses,
+so trees of any depth are handled.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from math import comb
 
@@ -49,101 +51,110 @@ def node(v: int, left: Tree, right: Tree) -> Tree:
     return Tree(v, left, right)
 
 
+def _walk(t: Tree):
+    """Yield (node, depth, literal on the edge into it, 0 at the root) in
+    pre-order, left child first, so that leaves come out in leaf order."""
+    stack = [(t, 0, 0)]
+    while stack:
+        s, d, x = stack.pop()
+        yield s, d, x
+        if not s.is_leaf:
+            stack += ((s.right, d + 1, -s.var), (s.left, d + 1, s.var))
+
+
+def _fold(labels: list[int | None], leaf, inner):
+    """Fold the tree with these pre-order labels (None at a leaf) from the
+    leaves up: leaf(i) at the leaf of index i (0-based, leaf order), and
+    inner(v, left value, right value) at an inner node labelled v."""
+    i = labels.count(None)
+    vals: list = []
+    for v in reversed(labels):  # both subtrees of a node are done before it
+        if v is None:
+            i -= 1
+            vals.append(leaf(i))
+        else:
+            vals.append(inner(v, vals.pop(), vals.pop()))
+    return vals[0]
+
+
 def hts(t: Tree) -> int:
     """Horton-Strahler number."""
-    if t.is_leaf:
-        return 0
-    a, b = hts(t.left), hts(t.right)
-    return a + 1 if a == b else max(a, b)
+    return _fold([s.var for s, _, _ in _walk(t)], lambda i: 0,
+                 lambda v, a, b: a + 1 if a == b else max(a, b))
 
 
 def height(t: Tree) -> int:
-    if t.is_leaf:
-        return 0
-    return 1 + max(height(t.left), height(t.right))
+    return max(d for _, d, _ in _walk(t))
 
 
 def leaf_count(t: Tree) -> int:
-    return 1 if t.is_leaf else leaf_count(t.left) + leaf_count(t.right)
+    return sum(s.is_leaf for s, _, _ in _walk(t))
 
 
 def inner_count(t: Tree) -> int:
-    return 0 if t.is_leaf else 1 + inner_count(t.left) + inner_count(t.right)
+    return leaf_count(t) - 1
 
 
 def tree_labels(t: Tree) -> set[int]:
-    return set() if t.is_leaf else {t.var} | tree_labels(t.left) | tree_labels(t.right)
+    return {s.var for s, _, _ in _walk(t) if not s.is_leaf}
 
 
 def tree_clauses(t: Tree) -> list[Clause]:
     """The clauses of smuo(T) in leaf order."""
     out: list[Clause] = []
-
-    def walk(s: Tree, path: list[int]) -> None:
+    path: list[int] = []  # the edge literals from the root down
+    for s, d, x in _walk(t):
+        if d:
+            path[d - 1:] = (x,)
         if s.is_leaf:
             out.append(frozenset(path))
-            return
-        path.append(s.var)
-        walk(s.left, path)
-        path[-1] = -s.var
-        walk(s.right, path)
-        path.pop()
-
-    walk(t, [])
     return out
 
 
 def smuo(t: Tree) -> ClauseSet:
-    labels = tree_labels(t)
-    if len(labels) != inner_count(t):
+    if len(tree_labels(t)) != inner_count(t):
         raise ValueError("inner labels must be distinct")
     return frozenset(tree_clauses(t))
 
 
 def tsmuo(f: ClauseSet) -> Tree:
-    """The labelled tree T with smuo(T) = F; raises NotSmu1Error otherwise."""
-    t = _build(f, len(variables(f)))
+    """The labelled tree T with smuo(T) = F; raises NotSmu1Error otherwise.
+    T is built top-down on an explicit stack, left subtree first."""
+    labels: list[int | None] = []  # in pre-order
+    stack = [(f, len(variables(f)))]
+    while stack:
+        g, fuel = stack.pop()
+        if g == BOT_SET:
+            labels.append(None)
+            continue
+        if not g or BOT in g or fuel < 0:
+            raise NotSmu1Error("clause-set is not of the smuo form")
+        common = set.intersection(*(set(abs(x) for x in c) for c in g))
+        if not common:
+            raise NotSmu1Error("no variable occurs in every clause")
+        v = min(common)
+        labels.append(v)
+        stack += ((apply_assignment({v: 1}, g), fuel - 1), (apply_assignment({v: 0}, g), fuel - 1))
+    t = _fold(labels, lambda i: LEAF, node)
     if smuo(t) != f:
         raise NotSmu1Error("clause-set is not of the smuo form")
     return t
-
-
-def _build(f: ClauseSet, fuel: int) -> Tree:
-    if f == BOT_SET:
-        return LEAF
-    if not f or BOT in f or fuel < 0:
-        raise NotSmu1Error("clause-set is not of the smuo form")
-    common = set.intersection(*(set(abs(x) for x in c) for c in f))
-    if not common:
-        raise NotSmu1Error("no variable occurs in every clause")
-    v = min(common)
-    return node(v,
-                _build(apply_assignment({v: 0}, f), fuel - 1),
-                _build(apply_assignment({v: 1}, f), fuel - 1))
 
 
 def apply_literal(t: Tree, x: int) -> Tree:
     """The tree of <x -> 1> * smuo(T): the subtree entered by the edge
     labelled x disappears, its sibling takes the place of their parent."""
     v = abs(x)
-
-    def go(s: Tree) -> Tree | None:
-        if s.is_leaf:
-            return None
+    path: list[tuple[int, Tree]] = []  # (pre-order index, node) from the root down
+    for i, (s, d, _) in enumerate(_walk(t)):
+        path[d:] = ((i, s),)
         if s.var == v:
-            return s.right if x > 0 else s.left
-        l = go(s.left)
-        if l is not None:
-            return node(s.var, l, s.right)
-        r = go(s.right)
-        if r is not None:
-            return node(s.var, s.left, r)
-        return None
-
-    out = go(t)
-    if out is None:
-        raise ValueError(f"variable {v} does not label any node")
-    return out
+            out = s.right if x > 0 else s.left
+            for (j, p), (c, _) in zip(path[-2::-1], path[:0:-1]):
+                # a left child directly follows its parent in pre-order
+                out = node(p.var, out, p.right) if c == j + 1 else node(p.var, p.left, out)
+            return out
+    raise ValueError(f"variable {v} does not label any node")
 
 
 # ---------------------------------------------------------------------------
@@ -161,40 +172,37 @@ def _check_pair(k: int, h: int) -> None:
         raise ValueError(f"no tree of Horton-Strahler {k} and height {h}")
 
 
+def _extremal_fold(k: int, h: int, leaf, inner):
+    """Fold the extremal shape of (k, h) from the leaves up, one height j at
+    a time.  Row j holds the values of the shapes (g, j), g = 0..min(k, j):
+    (0, j) is a leaf, and (g, j) has (min(g, j - 1), j - 1) on the left and
+    (g - 1, j - 1) on the right."""
+    _check_pair(k, h)
+    row = [leaf]
+    for j in range(1, h + 1):
+        row = [leaf] + [inner(row[min(g, j - 1)], row[g - 1]) for g in range(1, min(k, j) + 1)]
+    return row[k]
+
+
 def extremal_shape(k: int, h: int) -> Tree:
     """An unlabelled maximal-leaf-count tree of Horton-Strahler k, height h;
     the subtree of larger Horton-Strahler number goes left."""
-    _check_pair(k, h)
-    if k == 0:
-        return LEAF
-    if k == 1:
-        t = Tree(0, LEAF, LEAF)
-        for _ in range(h - 1):
-            t = Tree(0, t, LEAF)
-        return t
-    return Tree(0, extremal_shape(min(k, h - 1), h - 1), extremal_shape(k - 1, h - 1))
+    return _extremal_fold(k, h, LEAF, lambda l, r: Tree(0, l, r))
 
 
 def label_bfs(shape: Tree, first: int = 1) -> Tree:
     """Relabel inner nodes breadth-first with first, first+1, ..."""
-    labels: dict[tuple[int, ...], int] = {}
-    q: deque[tuple[Tree, tuple[int, ...]]] = deque([(shape, ())])
-    n = first - 1
-    while q:
-        s, path = q.popleft()
-        if s.is_leaf:
-            continue
-        n += 1
-        labels[path] = n
-        q.append((s.left, path + (0,)))
-        q.append((s.right, path + (1,)))
-
-    def rebuild(s: Tree, path: tuple[int, ...]) -> Tree:
-        if s.is_leaf:
-            return LEAF
-        return node(labels[path], rebuild(s.left, path + (0,)), rebuild(s.right, path + (1,)))
-
-    return rebuild(shape, ())
+    order = [shape]
+    inner: list[tuple[int, int]] = []  # (place in order, place of its left child)
+    for i, s in enumerate(order):  # order grows while it is read: a BFS queue
+        if not s.is_leaf:
+            inner.append((i, len(order)))
+            order += (s.left, s.right)
+    built = [LEAF] * len(order)
+    for n in range(len(inner) - 1, -1, -1):
+        i, j = inner[n]
+        built[i] = node(first + n, built[j], built[j + 1])
+    return built[0]
 
 
 def extremal_tree(k: int, h: int) -> Tree:
@@ -234,20 +242,27 @@ def _node_masks(t: Tree) -> tuple[list[tuple[int, int, int]], int]:
     """Per inner node (var, left leaf mask, right leaf mask); plus leaf count.
     Leaf i (1-based, left to right) is bit i-1."""
     masks: list[tuple[int, int, int]] = []
-    counter = [0]
 
-    def walk(s: Tree) -> int:
-        if s.is_leaf:
-            m = 1 << counter[0]
-            counter[0] += 1
-            return m
-        lm = walk(s.left)
-        rm = walk(s.right)
-        masks.append((s.var, lm, rm))
+    def inner(v: int, lm: int, rm: int) -> int:
+        masks.append((v, lm, rm))
         return lm | rm
 
-    walk(t)
-    return masks, counter[0]
+    return masks, _fold([s.var for s, _, _ in _walk(t)], lambda i: 1 << i, inner).bit_length()
+
+
+def _depth_k_leaf_blocks(t: Tree, k: int) -> list[list[int]]:
+    """Leaf numbers of each depth-k subtree, left to right."""
+    blocks: list[list[int]] = []
+    leafno = 0
+    for s, d, _ in _walk(t):
+        if d == k:
+            blocks.append([])
+        if s.is_leaf:
+            if not 0 <= k <= d:
+                raise ValueError(f"tree has a leaf above depth {k}")
+            leafno += 1
+            blocks[-1].append(leafno)
+    return blocks
 
 
 def _leaf_set_implicate(masks: list[tuple[int, int, int]], u0: int, nl: int,
@@ -266,23 +281,22 @@ def _leaf_set_implicate(masks: list[tuple[int, int, int]], u0: int, nl: int,
 def to_dot(t: Tree) -> str:
     """Graphviz rendering; leaves show their leaf number."""
     lines = ["digraph tree {", "  node [shape=circle];"]
-    counter = [0]
-    leafno = [0]
-
-    def walk(s: Tree) -> str:
-        me = f"n{counter[0]}"
-        counter[0] += 1
+    path: list[tuple[int, int | None]] = []  # (node number, label) from the root down
+    edges: list[str] = []  # the edges into them, each written once its subtree is done
+    leafno = 0
+    for me, (s, d, _) in enumerate(_walk(t)):
+        lines += reversed(edges[d - 1:])
+        del edges[d - 1:]
         if s.is_leaf:
-            leafno[0] += 1
-            lines.append(f'  {me} [shape=box, label="{leafno[0]}"];')
-            return me
-        lines.append(f'  {me} [label="v{s.var}"];')
-        l = walk(s.left)
-        lines.append(f'  {me} -> {l} [label="v{s.var}"];')
-        r = walk(s.right)
-        lines.append(f'  {me} -> {r} [label="-v{s.var}"];')
-        return me
-
-    walk(t)
+            leafno += 1
+            lines.append(f'  n{me} [shape=box, label="{leafno}"];')
+        else:
+            lines.append(f'  n{me} [label="v{s.var}"];')
+        if d:
+            p, v = path[d - 1]
+            sign = "" if me == p + 1 else "-"  # a left child directly follows its parent
+            edges.append(f'  n{p} -> n{me} [label="{sign}v{v}"];')
+        path[d:] = ((me, s.var),)
+    lines += reversed(edges)
     lines.append("}")
     return "\n".join(lines) + "\n"

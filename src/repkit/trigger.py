@@ -19,7 +19,9 @@ from math import comb
 
 from .core import Clause, ClauseSet, SizeLimitExceeded, complement
 from .reductions import clause_key
-from .trees import Tree, _first_doping_var, _leaf_set_implicate, _node_masks, leaf_count
+from .trees import (
+    Tree, _depth_k_leaf_blocks, _first_doping_var, _leaf_set_implicate, _node_masks, leaf_count,
+)
 
 # depth_k_incomparable_family refuses a tree with more than this many
 # implicates (2^leaves - 1) before doing any work.
@@ -165,26 +167,6 @@ class DisjointEdgeCertificate:
         }, indent=2)
 
 
-def _depth_k_leaf_blocks(t: Tree, k: int) -> list[list[int]]:
-    """Leaf numbers of each depth-k subtree, left to right."""
-    blocks: list[list[int]] = []
-    counter = [0]
-
-    def walk(s: Tree, d: int) -> None:
-        if d == k:
-            lo = counter[0] + 1
-            counter[0] += leaf_count(s)
-            blocks.append(list(range(lo, counter[0] + 1)))
-            return
-        if s.is_leaf:
-            raise ValueError(f"tree has a leaf above depth {k}")
-        walk(s.left, d + 1)
-        walk(s.right, d + 1)
-
-    walk(t, 0)
-    return blocks
-
-
 def depth_k_incomparable_family(t: Tree, k: int) -> DisjointEdgeCertificate:
     """A maximal family of leaf sets incomparable on every depth-k subtree,
     with the pairwise disjointness of their hyperedges checked explicitly.
@@ -200,7 +182,8 @@ def depth_k_incomparable_family(t: Tree, k: int) -> DisjointEdgeCertificate:
     n_implicates = (1 << leaf_count(t)) - 1
     if n_implicates > _MAX_IMPLICATES:
         raise SizeLimitExceeded(
-            f"depth_k_incomparable_family over {n_implicates} > {_MAX_IMPLICATES} implicates")
+            f"depth_k_incomparable_family over {n_implicates} > {_MAX_IMPLICATES} implicates",
+            budget="implicates", limit=_MAX_IMPLICATES, progress=n_implicates)
     blocks = _depth_k_leaf_blocks(t, k)
     m = min(len(b) for b in blocks)
     r = max(m // 2, 1)  # a one-leaf block still needs a non-empty leaf set

@@ -14,10 +14,11 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
+from functools import lru_cache
 
 from repkit import (
-    BOT, BOT_SET, Clause, ClauseSet, LEAF, SizeLimitExceeded, Tree,
-    apply_assignment, hardness, inner_count, leaf_count, literals, reduce_r,
+    BOT, BOT_SET, Clause, ClauseSet, LEAF, NotSmu1Error, SizeLimitExceeded, Tree,
+    alpha, apply_assignment, hardness, inner_count, leaf_count, literals, reduce_r,
     refutation_level, variables,
 )
 from repkit.reductions import clause_key
@@ -46,6 +47,14 @@ def all_shapes(n_leaves: int) -> list[Tree]:
             for i in range(1, n_leaves)
             for l in all_shapes(i)
             for r in all_shapes(n_leaves - i)]
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and text of the error it raises."""
+    try:
+        return fn(*args)
+    except (ValueError, SizeLimitExceeded) as e:
+        return type(e).__name__, str(e)
 
 
 def hd_by_assignment_enumeration(f: ClauseSet) -> int:
@@ -353,3 +362,192 @@ def ref_certificate(t: Tree, k: int):
                              if not (cp & comp_c) and len(cp - c) <= k))
         clauses.append(c)
     return leaf_sets, tuple(clauses), tuple(members)
+
+
+# Frozen reference tree walks: the recursive walks that repkit.trees,
+# repkit.trigger and repkit.bench replaced with one pre-order traversal.
+# Each recurses once per node (or per level), so they only run on small trees.
+def ref_hts(t: Tree) -> int:
+    if t.is_leaf:
+        return 0
+    a, b = ref_hts(t.left), ref_hts(t.right)
+    return a + 1 if a == b else max(a, b)
+
+
+def ref_height(t: Tree) -> int:
+    if t.is_leaf:
+        return 0
+    return 1 + max(ref_height(t.left), ref_height(t.right))
+
+
+def ref_leaf_count(t: Tree) -> int:
+    return 1 if t.is_leaf else ref_leaf_count(t.left) + ref_leaf_count(t.right)
+
+
+def ref_inner_count(t: Tree) -> int:
+    return 0 if t.is_leaf else 1 + ref_inner_count(t.left) + ref_inner_count(t.right)
+
+
+def ref_tree_labels(t: Tree) -> set[int]:
+    return set() if t.is_leaf else {t.var} | ref_tree_labels(t.left) | ref_tree_labels(t.right)
+
+
+def ref_tree_clauses(t: Tree) -> list[Clause]:
+    out: list[Clause] = []
+
+    def walk(s: Tree, path: list[int]) -> None:
+        if s.is_leaf:
+            out.append(frozenset(path))
+            return
+        path.append(s.var)
+        walk(s.left, path)
+        path[-1] = -s.var
+        walk(s.right, path)
+        path.pop()
+
+    walk(t, [])
+    return out
+
+
+def ref_build(f: ClauseSet, fuel: int) -> Tree:
+    if f == BOT_SET:
+        return LEAF
+    if not f or BOT in f or fuel < 0:
+        raise NotSmu1Error("clause-set is not of the smuo form")
+    common = set.intersection(*(set(abs(x) for x in c) for c in f))
+    if not common:
+        raise NotSmu1Error("no variable occurs in every clause")
+    v = min(common)
+    return Tree(v,
+                ref_build(apply_assignment({v: 0}, f), fuel - 1),
+                ref_build(apply_assignment({v: 1}, f), fuel - 1))
+
+
+def ref_apply_literal(t: Tree, x: int) -> Tree:
+    v = abs(x)
+
+    def go(s: Tree) -> Tree | None:
+        if s.is_leaf:
+            return None
+        if s.var == v:
+            return s.right if x > 0 else s.left
+        l = go(s.left)
+        if l is not None:
+            return Tree(s.var, l, s.right)
+        r = go(s.right)
+        if r is not None:
+            return Tree(s.var, s.left, r)
+        return None
+
+    out = go(t)
+    if out is None:
+        raise ValueError(f"variable {v} does not label any node")
+    return out
+
+
+def ref_extremal_shape(k: int, h: int) -> Tree:
+    if k < 0 or h < k or (k == 0 and h != 0):
+        raise ValueError(f"no tree of Horton-Strahler {k} and height {h}")
+    if k == 0:
+        return LEAF
+    if k == 1:
+        t = Tree(0, LEAF, LEAF)
+        for _ in range(h - 1):
+            t = Tree(0, t, LEAF)
+        return t
+    return Tree(0, ref_extremal_shape(min(k, h - 1), h - 1), ref_extremal_shape(k - 1, h - 1))
+
+
+def ref_label_bfs(shape: Tree, first: int = 1) -> Tree:
+    labels: dict[tuple[int, ...], int] = {}
+    q: deque[tuple[Tree, tuple[int, ...]]] = deque([(shape, ())])
+    n = first - 1
+    while q:
+        s, path = q.popleft()
+        if s.is_leaf:
+            continue
+        n += 1
+        labels[path] = n
+        q.append((s.left, path + (0,)))
+        q.append((s.right, path + (1,)))
+
+    def rebuild(s: Tree, path: tuple[int, ...]) -> Tree:
+        if s.is_leaf:
+            return LEAF
+        return Tree(labels[path], rebuild(s.left, path + (0,)), rebuild(s.right, path + (1,)))
+
+    return rebuild(shape, ())
+
+
+def ref_node_masks(t: Tree) -> tuple[list[tuple[int, int, int]], int]:
+    masks: list[tuple[int, int, int]] = []
+    counter = [0]
+
+    def walk(s: Tree) -> int:
+        if s.is_leaf:
+            m = 1 << counter[0]
+            counter[0] += 1
+            return m
+        lm = walk(s.left)
+        rm = walk(s.right)
+        masks.append((s.var, lm, rm))
+        return lm | rm
+
+    walk(t)
+    return masks, counter[0]
+
+
+def ref_to_dot(t: Tree) -> str:
+    lines = ["digraph tree {", "  node [shape=circle];"]
+    counter = [0]
+    leafno = [0]
+
+    def walk(s: Tree) -> str:
+        me = f"n{counter[0]}"
+        counter[0] += 1
+        if s.is_leaf:
+            leafno[0] += 1
+            lines.append(f'  {me} [shape=box, label="{leafno[0]}"];')
+            return me
+        lines.append(f'  {me} [label="v{s.var}"];')
+        l = walk(s.left)
+        lines.append(f'  {me} -> {l} [label="v{s.var}"];')
+        r = walk(s.right)
+        lines.append(f'  {me} -> {r} [label="-v{s.var}"];')
+        return me
+
+    walk(t)
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def ref_depth_k_leaf_blocks(t: Tree, k: int) -> list[list[int]]:
+    blocks: list[list[int]] = []
+    counter = [0]
+
+    def walk(s: Tree, d: int) -> None:
+        if d == k:
+            lo = counter[0] + 1
+            counter[0] += ref_leaf_count(s)
+            blocks.append(list(range(lo, counter[0] + 1)))
+            return
+        if s.is_leaf:
+            raise ValueError(f"tree has a leaf above depth {k}")
+        walk(s.left, d + 1)
+        walk(s.right, d + 1)
+
+    walk(t, 0)
+    return blocks
+
+
+@lru_cache(maxsize=None)
+def ref_leaf_depth_sum(k: int, h: int) -> int:
+    if k == 0:
+        return 0
+    if k == 1:
+        if h == 1:
+            return 2
+        return ref_leaf_depth_sum(1, h - 1) + alpha(1, h - 1) + 1
+    kl = min(k, h - 1)
+    return (ref_leaf_depth_sum(kl, h - 1) + alpha(kl, h - 1)
+            + ref_leaf_depth_sum(k - 1, h - 1) + alpha(k - 1, h - 1))

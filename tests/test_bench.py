@@ -5,7 +5,7 @@ import pytest
 
 import repkit as rk
 from repkit import bench, cli
-from helpers import REFERENCE_TABLE, REFERENCE_ALPHA
+from helpers import REFERENCE_TABLE, REFERENCE_ALPHA, ref_leaf_depth_sum
 
 
 def test_stats_against_frozen_table():
@@ -13,6 +13,12 @@ def test_stats_against_frozen_table():
         rec = bench.stats(bench.InstanceSpec(k, h, variant))
         assert (rec.n, rec.c, rec.l) == (n, c, l), (k, h, variant)
         assert rec.alpha == REFERENCE_ALPHA[(k, h)]
+
+
+def test_leaf_depth_sum_matches_frozen_recursion():
+    for k in range(2, 6):
+        for h in range(k, 60):
+            assert bench._leaf_depth_sum(k, h) == ref_leaf_depth_sum(k, h), (k, h)
 
 
 def test_stats_match_generated_formulas():
@@ -120,6 +126,32 @@ def test_cli_stats_json(capsys):
     rows = json.loads(out)
     row = next(r for r in rows if r["variant"] == 1)
     assert (row["n"], row["c"], row["l"]) == (507, 508, 8604)
+
+
+def test_cli_stats_on_a_deep_tree(capsys):
+    rc, out = run_cli(capsys, "stats", "--k", "2", "--h", "1500", "--json")
+    assert rc == 0
+    # leaf depth sums by the closed form k = 1 and the k = 2 recurrence
+    alpha1, alpha2 = (lambda j: j + 1), (lambda j: 1 + j + j * (j - 1) // 2)
+    s2 = 8                                       # the complete tree of height 2
+    for j in range(2, 1500):
+        s2 += alpha2(j) + j * (j + 3) // 2 + alpha1(j)
+    a = alpha2(1500)
+    row = next(r for r in json.loads(out) if r["variant"] == 1)
+    assert (row["alpha"], row["n"], row["c"], row["l"]) == (a, 2 * a - 1, 2 * a, 2 * (s2 + a))
+
+
+def test_cli_tree_on_a_deep_tree(capsys):
+    rc, out = run_cli(capsys, "tree", "--k", "1", "--h", "1200")
+    lines = out.splitlines()
+    assert rc == 0 and "p cnf 1200 1201" in lines and lines[-1] == "-1 0"
+    assert lines[-2] == "1 -2 0" and len(lines[-1201].split()) == 1201
+    rc, out = run_cli(capsys, "tree", "--k", "1", "--h", "1200", "--emit", "doped")
+    lines = out.splitlines()
+    assert rc == 0 and "p cnf 2401 1201" in lines and lines[-1] == "-1 2401 0"
+    rc, out = run_cli(capsys, "tree", "--k", "1", "--h", "1200", "--emit", "dot")
+    assert rc == 0 and out.startswith("digraph") and out.endswith("}\n")
+    assert out.count(" -> ") == 2400 and 'n0 -> n2400 [label="-v1"];' in out
 
 
 def test_cli_generate_and_analyze(tmp_path, capsys):

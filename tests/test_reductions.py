@@ -7,6 +7,7 @@ import repkit as rk
 from repkit import reductions
 from helpers import (
     all_shapes,
+    outcome,
     random_clause_set,
     hd_by_assignment_enumeration,
     phd_by_definition,
@@ -160,6 +161,66 @@ def test_w_hardness_oracle():
 def test_w_hardness_unit_refutation():
     f = rk.clause_set([[1], [-1, 2], [-2]])
     assert rk.w_refutation_level(f) == 1
+
+
+def test_w_refutation_level_skips_the_width_0_pass(monkeypatch):
+    # width 0 never resolves: it refutes exactly the sets that contain bot
+    widths = []
+    kernel = reductions._saturate
+
+    def spy(f, k, max_clauses):
+        widths.append(k)
+        return kernel(f, k, max_clauses)
+
+    monkeypatch.setattr(reductions, "_saturate", spy)
+    assert rk.w_refutation_level(rk.clause_set([[1], [-1, 2], [-2]])) == 1
+    assert rk.w_refutation_level(rk.clause_set([[], [1, 2]])) == 0
+    assert rk.w_refutation_level(rk.BOT_SET) == 0
+    for sat in (rk.TOP, rk.clause_set([[1, 2]])):
+        with pytest.raises(ValueError, match="requires an unsatisfiable"):
+            rk.w_refutation_level(sat)
+    assert widths == [1, 1, 2]  # one pass per width from 1, none at width 0
+
+    def parent_loop(f, m):
+        for k in range(len(rk.variables(f)) + 1):
+            if ref_saturate(f, k, m) == rk.BOT_SET:
+                return k
+        raise ValueError("w_refutation_level requires an unsatisfiable clause-set")
+
+    rng = random.Random(19)
+    for _ in range(150):
+        f = random_clause_set(rng, rng.randint(1, 5), rng.randint(1, 12), 3)
+        if rng.random() < .1:
+            f |= {rk.BOT}
+        for m in (0, 1, 4, 10 ** 6):
+            want, got = (outcome(loop, f, m) for loop in (parent_loop, rk.w_refutation_level))
+            assert got == want
+
+
+F3 = rk.clause_set([[1, 2], [-2, 3], [-1, -3]])
+
+
+@pytest.mark.parametrize("call, message, fields", [
+    (lambda: rk.p_hardness(F3, max_vars=2),
+     "p_hardness over 3 > 2 variables", ("variables", 2, 3)),
+    (lambda: rk.canonical_dnf(F3, max_vars=2),
+     "canonical_dnf over 3 > 2 variables", ("variables", 2, 3)),
+    (lambda: rk.mps_subsets_direct(F3, max_clauses=2),
+     "direct mps enumeration over 3 clauses", ("clauses", 2, 3)),
+    (lambda: rk.prime_implicates_bruteforce(F3, max_vars=2),
+     "bruteforce prime implicates over 3 variables", ("variables", 2, 3)),
+    (lambda: rk.extension_property(F3, {1}, max_vars=2),
+     "extension_property enumeration too large", ("variables", 2, 3)),
+    (lambda: rk.depth_k_incomparable_family(rk.extremal_tree(2, 6), 1),
+     "depth_k_incomparable_family over 4194303 > 1048576 implicates",
+     ("implicates", 1 << 20, (1 << 22) - 1)),
+], ids=["p_hardness", "canonical_dnf", "mps_subsets_direct", "prime_implicates_bruteforce",
+        "extension_property", "depth_k_incomparable_family"])
+def test_size_guards_name_the_budget_and_limit(call, message, fields):
+    with pytest.raises(rk.SizeLimitExceeded) as info:
+        call()
+    assert str(info.value) == message
+    assert (info.value.budget, info.value.limit, info.value.progress) == fields
 
 
 def test_prime_implicates_vs_bruteforce():

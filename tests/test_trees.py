@@ -1,10 +1,17 @@
+import inspect
 import math
 import random
+import sys
 
 import pytest
 
 import repkit as rk
-from helpers import all_shapes
+from repkit import trees
+from helpers import (
+    all_shapes, outcome, ref_apply_literal, ref_build, ref_depth_k_leaf_blocks, ref_extremal_shape,
+    ref_height, ref_hts, ref_inner_count, ref_label_bfs, ref_leaf_count, ref_node_masks,
+    ref_to_dot, ref_tree_clauses, ref_tree_labels,
+)
 
 
 def relabel(shape: rk.Tree, labels) -> rk.Tree:
@@ -192,3 +199,78 @@ def test_label_bfs_preserves_shape():
 def test_to_dot():
     dot = rk.to_dot(rk.extremal_tree(1, 2))
     assert dot.startswith("digraph") and "->" in dot
+
+
+def test_walks_match_frozen_recursive_walks():
+    rng = random.Random(28)
+    n = 0
+    for n_leaves in range(1, 9):
+        for shape in all_shapes(n_leaves):
+            labels = rng.sample(range(1, 3 * n_leaves + 3), n_leaves - 1)
+            t = relabel(shape, labels)
+            for s in (t, shape):  # the shape has every label 0
+                assert trees.hts(s) == ref_hts(s)
+                assert trees.height(s) == ref_height(s)
+                assert trees.leaf_count(s) == ref_leaf_count(s)
+                assert trees.inner_count(s) == ref_inner_count(s)
+                assert trees.tree_labels(s) == ref_tree_labels(s)
+                assert trees.tree_clauses(s) == ref_tree_clauses(s)
+                assert trees.to_dot(s) == ref_to_dot(s)
+                masks, nl = trees._node_masks(s)
+                want_masks, want_nl = ref_node_masks(s)
+                assert nl == want_nl and sorted(masks) == sorted(want_masks)
+                for first in (1, 7):
+                    assert trees.label_bfs(s, first) == ref_label_bfs(s, first)
+                for k in range(4):
+                    assert outcome(trees._depth_k_leaf_blocks, s, k) == \
+                        outcome(ref_depth_k_leaf_blocks, s, k)
+            for v in labels + [max(labels, default=0) + 1]:
+                for x in (v, -v):
+                    assert outcome(rk.apply_literal, t, x) == outcome(ref_apply_literal, t, x)
+            f = rk.smuo(t)
+            assert rk.tsmuo(f) == ref_build(f, len(rk.variables(f))) == t
+            n += 1
+    assert n == 626
+
+
+def test_extremal_shape_matches_frozen_recursion():
+    for k in range(6):
+        for h in range(k, 12):
+            if k or not h:
+                assert rk.extremal_shape(k, h) == ref_extremal_shape(k, h)
+    for k, h in [(-1, 3), (3, 2), (0, 1)]:
+        assert outcome(rk.extremal_shape, k, h) == outcome(ref_extremal_shape, k, h)
+
+
+def comb_tree(depth: int, left: bool) -> rk.Tree:
+    """A comb of the given height, growing down the left or right edge."""
+    t = rk.LEAF
+    for v in range(depth, 0, -1):
+        t = rk.node(v, t, rk.LEAF) if left else rk.node(v, rk.LEAF, t)
+    return t
+
+
+def test_tree_functions_do_not_recurse():
+    deep = [rk.extremal_tree(1, 200), comb_tree(200, left=False)]
+    results = []
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+    try:
+        for t in deep:
+            f = rk.smuo(t)
+            results.append((
+                rk.hts(t), rk.height(t), rk.leaf_count(t), rk.inner_count(t),
+                rk.tree_labels(t), rk.tree_clauses(t), f, rk.tsmuo(f),
+                rk.apply_literal(t, 1), rk.apply_literal(t, -200),
+                rk.label_bfs(t, 5), rk.doped_tree(t).ordered,
+                rk.clause_for_leaves(t, {1, 201}), rk.to_dot(t),
+                trees._depth_k_leaf_blocks(t, 1), trees._node_masks(t)[1],
+            ))
+        shape, n_leaves = rk.extremal_shape(1, 200), rk.alpha(1, 200)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert rk.leaf_count(shape) == n_leaves == 201
+    for t, (hs, ht, nl, ni, labels, clauses, f, back, *_) in zip(deep, results):
+        assert (hs, ht, nl, ni) == (1, 200, 201, 200)
+        assert labels == set(range(1, 201)) and len(clauses) == 201 == len(f)
+        assert back == t

@@ -6,7 +6,7 @@ import pytest
 
 import repkit as rk
 from helpers import random_clause_set, ref_certificate
-from repkit import trigger
+from repkit import trees, trigger
 from repkit.reductions import clause_key
 
 
@@ -154,7 +154,7 @@ def test_certificate_lists_no_implicates(monkeypatch):
 
 def test_certificate_one_leaf_block():
     t = rk.extremal_tree(2, 4)           # a leaf at depth 2: one-leaf block
-    blocks = trigger._depth_k_leaf_blocks(t, 2)
+    blocks = trees._depth_k_leaf_blocks(t, 2)
     assert min(map(len, blocks)) == 1
     cert = rk.depth_k_incomparable_family(t, 2)
     assert cert.size == 1

@@ -27,8 +27,10 @@ class NotSmu1Error(ValueError):
     """Input clause-set is not smuo(T) for any labelled tree."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Tree:
+    """A node.  == and repr give what a frozen dataclass's would, and hash
+    agrees with ==; all three run on _walk, not once per level."""
     var: int | None = None
     left: "Tree | None" = None
     right: "Tree | None" = None
@@ -42,6 +44,30 @@ class Tree:
     @property
     def is_leaf(self) -> bool:
         return self.var is None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # the pre-order labels, None at a leaf, spell out a full binary tree
+        return self is other or _labels(self) == _labels(other)
+
+    def __hash__(self):
+        return hash(tuple(_labels(self)))
+
+    def __repr__(self):
+        out: list[str] = []
+        prev = 0  # depth of the previous node when it was a leaf, else -1
+        for s, d, _ in _walk(self):
+            if prev >= d > 0:  # a right child: close the subtrees its left sibling ended
+                out.append(")" * (prev - d) + ", right=")
+            if s.is_leaf:
+                out.append("Tree(var=None, left=None, right=None)")
+                prev = d
+            else:
+                out.append(f"Tree(var={s.var!r}, left=")
+                prev = -1
+        out.append(")" * prev)
+        return "".join(out)
 
 
 LEAF = Tree()
@@ -62,6 +88,11 @@ def _walk(t: Tree):
             stack += ((s.right, d + 1, -s.var), (s.left, d + 1, s.var))
 
 
+def _labels(t: Tree) -> list[int | None]:
+    """The labels in pre-order, None at a leaf."""
+    return [s.var for s, _, _ in _walk(t)]
+
+
 def _fold(labels: list[int | None], leaf, inner):
     """Fold the tree with these pre-order labels (None at a leaf) from the
     leaves up: leaf(i) at the leaf of index i (0-based, leaf order), and
@@ -79,7 +110,7 @@ def _fold(labels: list[int | None], leaf, inner):
 
 def hts(t: Tree) -> int:
     """Horton-Strahler number."""
-    return _fold([s.var for s, _, _ in _walk(t)], lambda i: 0,
+    return _fold(_labels(t), lambda i: 0,
                  lambda v, a, b: a + 1 if a == b else max(a, b))
 
 
@@ -247,7 +278,7 @@ def _node_masks(t: Tree) -> tuple[list[tuple[int, int, int]], int]:
         masks.append((v, lm, rm))
         return lm | rm
 
-    return masks, _fold([s.var for s, _, _ in _walk(t)], lambda i: 1 << i, inner).bit_length()
+    return masks, _fold(_labels(t), lambda i: 1 << i, inner).bit_length()
 
 
 def _depth_k_leaf_blocks(t: Tree, k: int) -> list[list[int]]:

@@ -6,6 +6,16 @@ reach C by forgetting at most k literals.  Every equivalent clause-set of
 asymmetric width <= k must hit every such edge, so the transversal number
 tau (and hence the matching number nu) lower-bounds its clause count.
 
+Both numbers are exact, by branch and bound on int vertex masks (bit i is
+the i-th vertex in clause_key order).  The matching search goes depth first
+through the edges sorted by size, carrying the later edges disjoint from all
+picked ones; it stops at a node once the picked edges plus the candidates
+left cannot beat the best matching.  Only a strictly larger matching
+replaces the best, so the first maximum matching in that order comes back,
+the same tuple of edges as from the plain search without the bound.  The
+hitting-set search branches on the vertices of the first edge not yet hit,
+lowest bit first, starting from a greedy hitting set.
+
 For doped extremal trees the certificates of Sperner type are produced
 directly from leaf sets; the full hypergraph is never materialized.
 """
@@ -41,7 +51,8 @@ def in_hyperedge(cp: Clause, c: Clause, k: int) -> bool:
 
 
 def hyperedge(p: ClauseSet, c: Clause, k: int) -> frozenset[Clause]:
-    return frozenset(cp for cp in p if in_hyperedge(cp, c, k))
+    comp_c = complement(c)
+    return frozenset(cp for cp in p if not (cp & comp_c) and len(cp - c) <= k)
 
 
 def trigger_hypergraph(p: ClauseSet, k: int) -> TriggerHypergraph:
@@ -49,80 +60,104 @@ def trigger_hypergraph(p: ClauseSet, k: int) -> TriggerHypergraph:
     return TriggerHypergraph(k, vertices, {c: hyperedge(p, c, k) for c in vertices})
 
 
-def _edge_list(h: TriggerHypergraph) -> list[frozenset[Clause]]:
-    """Distinct edges, inclusion-minimized (a transversal of the minimal
-    edges hits all of them; a matching prefers small edges anyway)."""
-    edges = sorted(set(h.edges.values()), key=lambda e: (len(e), sorted(map(clause_key, e))))
-    out: list[frozenset[Clause]] = []
+# Both searches run on int vertex masks: bit i stands for the i-th vertex in
+# clause_key order over the union of the edges, and an edge is the sum of its
+# bits.  Disjointness is `not e & f`, inclusion of f in e `f & e == f`.
+
+def _edge_masks(h: TriggerHypergraph) -> tuple[list[Clause], list[frozenset[Clause]], list[int]]:
+    """The vertices in bit order, and the distinct edges with their masks,
+    sorted by (size, sorted clause_key of the members)."""
+    vertices = sorted(set().union(*h.edges.values()), key=clause_key)
+    bit = {c: i for i, c in enumerate(vertices)}
+    keyed = sorted((len(e), sorted(bit[c] for c in e), e) for e in set(h.edges.values()))
+    return (vertices, [e for _, _, e in keyed],
+            [sum(1 << i for i in bits) for _, bits, _ in keyed])
+
+
+def _edge_list(edges: list[int]) -> list[int]:
+    """The inclusion-minimal edges, in order (a transversal of the minimal
+    edges hits all of them)."""
+    out: list[int] = []
     for e in edges:
-        if not any(f <= e for f in out):
+        if not any(f & e == f for f in out):
             out.append(e)
     return out
 
 
+def _bits(m: int):
+    """The single-bit masks of m, lowest first."""
+    while m:
+        low = m & -m
+        yield low
+        m ^= low
+
+
 def transversal_number(h: TriggerHypergraph) -> tuple[int, frozenset[Clause]]:
     """Exact minimum hitting set over the hyperedges, by branch and bound."""
-    edges = _edge_list(h)
-    if any(not e for e in edges):
+    vertices, _, masks = _edge_masks(h)
+    edges = _edge_list(masks)
+    if not all(edges):
         raise ValueError("empty hyperedge cannot be hit")
-    best_set = _greedy_transversal(edges)
-    best = [len(best_set), best_set]
-
-    def lower_bound(rem: list[frozenset[Clause]]) -> int:
-        lb, used = 0, set()
-        for e in rem:
-            if not (e & used):
-                lb += 1
-                used |= e
-        return lb
-
-    def go(rem: list[frozenset[Clause]], chosen: set[Clause]) -> None:
-        rem = [e for e in rem if not (e & chosen)]
-        if not rem:
-            if len(chosen) < best[0]:
-                best[0], best[1] = len(chosen), frozenset(chosen)
-            return
-        if len(chosen) + lower_bound(rem) >= best[0]:
-            return
-        e = min(rem, key=lambda e: (len(e), sorted(map(clause_key, e))))
-        for v in sorted(e, key=clause_key):
-            go(rem, chosen | {v})
-
-    go(edges, set())
-    return best[0], best[1]
+    greedy = _greedy_transversal(edges)
+    best = [greedy.bit_count(), greedy]
+    _hit(edges, 0, 0, best)
+    return best[0], frozenset(vertices[v.bit_length() - 1] for v in _bits(best[1]))
 
 
-def _greedy_transversal(edges: list[frozenset[Clause]]) -> frozenset[Clause]:
-    chosen: set[Clause] = set()
-    rem = list(edges)
+def _hit(rem: list[int], chosen: int, size: int, best: list) -> None:
+    """Extend the hitting set `chosen` (size vertices) until it hits rem;
+    best holds the first smallest hitting set found.  Branches on the
+    vertices of the first edge not hit, lowest bit first."""
+    rem = [e for e in rem if not e & chosen]
+    if not rem:
+        if size < best[0]:
+            best[0], best[1] = size, chosen
+        return
+    lb, used = 0, 0  # pairwise disjoint edges left: each needs its own vertex
+    for e in rem:
+        if not e & used:
+            lb += 1
+            used |= e
+    if size + lb >= best[0]:
+        return
+    for v in _bits(rem[0]):
+        _hit(rem, chosen | v, size + 1, best)
+
+
+def _greedy_transversal(edges: list[int]) -> int:
+    """Take the vertex in most edges not yet hit, the lowest bit on a tie."""
+    chosen = 0
+    rem = edges
     while rem:
-        counts: dict[Clause, int] = {}
+        counts: dict[int, int] = {}
         for e in rem:
-            for v in e:
+            for v in _bits(e):
                 counts[v] = counts.get(v, 0) + 1
-        v = max(sorted(counts, key=clause_key), key=lambda v: counts[v])
-        chosen.add(v)
-        rem = [e for e in rem if v not in e]
-    return frozenset(chosen)
+        v = max(sorted(counts), key=counts.__getitem__)
+        chosen |= v
+        rem = [e for e in rem if not e & v]
+    return chosen
 
 
 def matching_number(h: TriggerHypergraph) -> tuple[int, tuple[frozenset[Clause], ...]]:
     """Exact maximum number of pairwise disjoint hyperedges."""
-    edges = sorted(set(h.edges.values()), key=lambda e: (len(e), sorted(map(clause_key, e))))
+    _, edges, masks = _edge_masks(h)
     best: list = [0, ()]
+    _pack(masks, (), best)
+    edge_of = dict(zip(masks, edges))
+    return best[0], tuple(edge_of[e] for e in best[1])
 
-    def go(i: int, used: frozenset[Clause], picked: tuple) -> None:
-        if len(picked) > best[0]:
-            best[0], best[1] = len(picked), picked
-        if len(picked) + (len(edges) - i) <= best[0]:
+
+def _pack(cands: list[int], picked: tuple[int, ...], best: list) -> None:
+    """Extend the matching `picked` by the candidates, the later edges
+    disjoint from all of it, depth first in edge order; best holds the first
+    largest matching found, replaced only by a strictly larger one."""
+    if len(picked) > best[0]:
+        best[0], best[1] = len(picked), picked
+    for i, e in enumerate(cands):
+        if len(picked) + len(cands) - i <= best[0]:  # cannot beat the best
             return
-        for j in range(i, len(edges)):
-            e = edges[j]
-            if not (e & used):
-                go(j + 1, used | e, picked + (e,))
-
-    go(0, frozenset(), ())
-    return best[0], best[1]
+        _pack([f for f in cands[i + 1:] if not f & e], picked + (e,), best)
 
 
 # ---------------------------------------------------------------------------

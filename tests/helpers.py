@@ -6,7 +6,8 @@ its plain definition, width-bounded refutation by a subsumption-free
 closure.  Library results are checked against these on small inputs.
 The ref_* functions are frozen copies of implementations the library has
 replaced; they rebuild the clause-set where the library uses its trail, and
-hold clauses as frozensets where its resolution kernel uses bitmasks.
+hold clauses (and trigger hyperedges) as frozensets where the library uses
+bitmasks.
 """
 
 from __future__ import annotations
@@ -14,12 +15,13 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
+from dataclasses import make_dataclass
 from functools import lru_cache
 
 from repkit import (
     BOT, BOT_SET, Clause, ClauseSet, LEAF, NotSmu1Error, SizeLimitExceeded, Tree,
-    alpha, apply_assignment, hardness, inner_count, leaf_count, literals, reduce_r,
-    refutation_level, variables,
+    TriggerHypergraph, alpha, apply_assignment, hardness, inner_count, leaf_count, literals,
+    reduce_r, refutation_level, variables,
 )
 from repkit.reductions import clause_key
 
@@ -540,6 +542,18 @@ def ref_depth_k_leaf_blocks(t: Tree, k: int) -> list[list[int]]:
     return blocks
 
 
+# Frozen reference for Tree's ==, hash and repr: a frozen dataclass of the
+# same name and fields, whose generated methods recurse once per level.
+RefTree = make_dataclass("Tree", [("var", object, None), ("left", object, None),
+                                  ("right", object, None)], frozen=True)
+
+
+def ref_dataclass_tree(t: Tree):
+    if t.is_leaf:
+        return RefTree()
+    return RefTree(t.var, ref_dataclass_tree(t.left), ref_dataclass_tree(t.right))
+
+
 @lru_cache(maxsize=None)
 def ref_leaf_depth_sum(k: int, h: int) -> int:
     if k == 0:
@@ -551,3 +565,78 @@ def ref_leaf_depth_sum(k: int, h: int) -> int:
     kl = min(k, h - 1)
     return (ref_leaf_depth_sum(kl, h - 1) + alpha(kl, h - 1)
             + ref_leaf_depth_sum(k - 1, h - 1) + alpha(k - 1, h - 1))
+
+
+# Frozen reference trigger searches: matching_number, transversal_number,
+# _edge_list and _greedy_transversal as they were on frozensets of clauses,
+# before repkit.trigger moved them onto int vertex masks.
+def ref_edge_list(h: TriggerHypergraph) -> list[frozenset[Clause]]:
+    edges = sorted(set(h.edges.values()), key=lambda e: (len(e), sorted(map(clause_key, e))))
+    out: list[frozenset[Clause]] = []
+    for e in edges:
+        if not any(f <= e for f in out):
+            out.append(e)
+    return out
+
+
+def ref_transversal_number(h: TriggerHypergraph) -> tuple[int, frozenset[Clause]]:
+    edges = ref_edge_list(h)
+    if any(not e for e in edges):
+        raise ValueError("empty hyperedge cannot be hit")
+    best_set = ref_greedy_transversal(edges)
+    best = [len(best_set), best_set]
+
+    def lower_bound(rem: list[frozenset[Clause]]) -> int:
+        lb, used = 0, set()
+        for e in rem:
+            if not (e & used):
+                lb += 1
+                used |= e
+        return lb
+
+    def go(rem: list[frozenset[Clause]], chosen: set[Clause]) -> None:
+        rem = [e for e in rem if not (e & chosen)]
+        if not rem:
+            if len(chosen) < best[0]:
+                best[0], best[1] = len(chosen), frozenset(chosen)
+            return
+        if len(chosen) + lower_bound(rem) >= best[0]:
+            return
+        e = min(rem, key=lambda e: (len(e), sorted(map(clause_key, e))))
+        for v in sorted(e, key=clause_key):
+            go(rem, chosen | {v})
+
+    go(edges, set())
+    return best[0], best[1]
+
+
+def ref_greedy_transversal(edges: list[frozenset[Clause]]) -> frozenset[Clause]:
+    chosen: set[Clause] = set()
+    rem = list(edges)
+    while rem:
+        counts: dict[Clause, int] = {}
+        for e in rem:
+            for v in e:
+                counts[v] = counts.get(v, 0) + 1
+        v = max(sorted(counts, key=clause_key), key=lambda v: counts[v])
+        chosen.add(v)
+        rem = [e for e in rem if v not in e]
+    return frozenset(chosen)
+
+
+def ref_matching_number(h: TriggerHypergraph) -> tuple[int, tuple[frozenset[Clause], ...]]:
+    edges = sorted(set(h.edges.values()), key=lambda e: (len(e), sorted(map(clause_key, e))))
+    best: list = [0, ()]
+
+    def go(i: int, used: frozenset[Clause], picked: tuple) -> None:
+        if len(picked) > best[0]:
+            best[0], best[1] = len(picked), picked
+        if len(picked) + (len(edges) - i) <= best[0]:
+            return
+        for j in range(i, len(edges)):
+            e = edges[j]
+            if not (e & used):
+                go(j + 1, used | e, picked + (e,))
+
+    go(0, frozenset(), ())
+    return best[0], best[1]

@@ -187,11 +187,106 @@ def test_cli_mps_and_dope(tmp_path, capsys):
     assert rc == 0 and "p cnf 4 2" in out
 
 
+# `repkit trigger` on the doped 6-leaf extremal tree (k = 1, h = 5), as the
+# frozenset branch and bound printed it before the searches moved onto
+# vertex masks.
+TRIGGER_6_LEAVES = {
+    1: {
+        "k": 1,
+        "vertices": 63,
+        "transversal_number": 5,
+        "transversal": [
+            [-1, 11],
+            [1, -2, 10],
+            [1, 2, -3, 9],
+            [1, 2, 3, -4, 8],
+            [1, 2, 3, 4, 6, 7],
+        ],
+        "matching_number": 5,
+        "matching": [
+            [
+                [-1, 11],
+            ],
+            [
+                [1, -2, 10],
+                [-2, 10, 11],
+            ],
+            [
+                [1, 2, -3, 9],
+                [1, -3, 9, 10],
+                [2, -3, 9, 11],
+            ],
+            [
+                [1, 2, 3, -4, 8],
+                [1, 2, -4, 8, 9],
+                [1, 3, -4, 8, 10],
+                [2, 3, -4, 8, 11],
+            ],
+            [
+                [1, 2, 3, 4, 5, 6],
+                [1, 2, 3, 4, 6, 7],
+                [1, 2, 3, 5, 6, 8],
+                [1, 2, 4, 5, 6, 9],
+                [1, 3, 4, 5, 6, 10],
+                [2, 3, 4, 5, 6, 11],
+            ],
+        ],
+    },
+    2: {
+        "k": 2,
+        "vertices": 63,
+        "transversal_number": 4,
+        "transversal": [
+            [-1, 11],
+            [1, -2, 10],
+            [1, -3, 9, 10],
+            [1, 2, 3, 6, 7, 8],
+        ],
+        "matching_number": 3,
+        "matching": [
+            [
+                [-1, 11],
+                [-2, 10, 11],
+            ],
+            [
+                [1, 2, -3, 9],
+                [1, -3, 9, 10],
+                [2, -3, 9, 11],
+                [-3, 9, 10, 11],
+                [1, 2, -4, 8, 9],
+            ],
+            [
+                [1, 2, 3, 4, 5, 6],
+                [1, 2, 3, 4, 6, 7],
+                [1, 2, 3, 5, 6, 8],
+                [1, 2, 3, 6, 7, 8],
+                [1, 2, 4, 5, 6, 9],
+                [1, 2, 4, 6, 7, 9],
+                [1, 2, 5, 6, 8, 9],
+                [1, 3, 4, 5, 6, 10],
+                [1, 3, 4, 6, 7, 10],
+                [1, 3, 5, 6, 8, 10],
+                [1, 4, 5, 6, 9, 10],
+                [2, 3, 4, 5, 6, 11],
+                [2, 3, 4, 6, 7, 11],
+                [2, 3, 5, 6, 8, 11],
+                [2, 4, 5, 6, 9, 11],
+                [3, 4, 5, 6, 10, 11],
+            ],
+        ],
+    },
+}
+
+
 def test_cli_trigger(tmp_path, capsys):
-    path = tmp_path / "f.cnf"
-    path.write_text("p cnf 2 3\n1 2 0\n-1 2 0\n1 -2 0\n")
-    rc, out = run_cli(capsys, "trigger", str(path), "--k", "1")
+    rc, doped = run_cli(capsys, "tree", "--k", "1", "--h", "5", "--emit", "doped")
     assert rc == 0
+    path = tmp_path / "t6.cnf"
+    path.write_text(doped)
+    for k, want in TRIGGER_6_LEAVES.items():
+        rc, out = run_cli(capsys, "trigger", str(path), "--k", str(k))
+        assert rc == 0
+        assert out == json.dumps(want, indent=2) + "\n", k
 
 
 def test_cli_verify(capsys):

@@ -10,7 +10,7 @@ from repkit import trees
 from helpers import (
     all_shapes, outcome, ref_apply_literal, ref_build, ref_depth_k_leaf_blocks, ref_extremal_shape,
     ref_height, ref_hts, ref_inner_count, ref_label_bfs, ref_leaf_count, ref_node_masks,
-    ref_to_dot, ref_tree_clauses, ref_tree_labels,
+    ref_dataclass_tree, ref_to_dot, ref_tree_clauses, ref_tree_labels,
 )
 
 
@@ -274,3 +274,39 @@ def test_tree_functions_do_not_recurse():
         assert (hs, ht, nl, ni) == (1, 200, 201, 200)
         assert labels == set(range(1, 201)) and len(clauses) == 201 == len(f)
         assert back == t
+
+
+def rebuilt(t: rk.Tree) -> rk.Tree:
+    """An equal tree made of new inner nodes."""
+    return t if t.is_leaf else rk.Tree(t.var, rebuilt(t.left), rebuilt(t.right))
+
+
+def test_eq_hash_repr_match_the_dataclass():
+    rng = random.Random(17)
+    shapes = [s for n in range(1, 9) for s in all_shapes(n)]
+    ts = []
+    for s in shapes:
+        n = rk.leaf_count(s)
+        ts += [s, relabel(s, rng.sample(range(1, 3 * n), n - 1))]
+    pairs = [(a, b) for a in ts[:130] for b in ts[:130]]  # up to 6 leaves
+    pairs += [(t, rebuilt(t)) for t in ts]
+    pairs += list(zip(ts, ts[1:]))
+    for t in ts:
+        assert repr(t) == repr(ref_dataclass_tree(t))
+    for a, b in pairs:
+        assert (a == b) is (ref_dataclass_tree(a) == ref_dataclass_tree(b))
+        assert (a != b) is (ref_dataclass_tree(a) != ref_dataclass_tree(b))
+        assert a != b or hash(a) == hash(b)
+    assert rk.LEAF != 0 and not rk.LEAF == (None, None, None)
+
+
+def test_eq_hash_repr_on_deep_trees():
+    leaf = "Tree(var=None, left=None, right=None)"
+    for left in (True, False):
+        t, same = comb_tree(1200, left), comb_tree(1200, left)
+        other = rk.apply_literal(t, 1200)  # the last inner node gives way to a leaf
+        assert t == same and t != other and not t == other and hash(t) == hash(same)
+        inner = "".join(f"Tree(var={v}, left=" + ("" if left else leaf + ", right=")
+                        for v in range(1, 1201))
+        tail = (", right=" + leaf + ")") * 1200 if left else ")" * 1200
+        assert repr(t) == inner + leaf + tail

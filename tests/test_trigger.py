@@ -5,7 +5,10 @@ import tracemalloc
 import pytest
 
 import repkit as rk
-from helpers import random_clause_set, ref_certificate
+from helpers import (
+    all_shapes, outcome, random_clause_set, ref_certificate, ref_edge_list, ref_greedy_transversal,
+    ref_matching_number, ref_transversal_number,
+)
 from repkit import trees, trigger
 from repkit.reductions import clause_key
 
@@ -162,3 +165,84 @@ def test_certificate_one_leaf_block():
     assert v and c == rk.clause_for_leaves(t, v)
     mask = sum(1 << (i - 1) for i in v)
     assert mask in cert.members[0]
+
+
+def _decode(vertices, m: int) -> frozenset:
+    return frozenset(c for i, c in enumerate(vertices) if m >> i & 1)
+
+
+def _equivalence_corpus():
+    """Trigger hypergraphs of small random clause-sets, of doped 5-, 6- and
+    7-leaf trees and of example_f(), and two built by hand: one with an
+    empty edge, one with none."""
+    rng = random.Random(53)
+    out = []
+    for _ in range(60):
+        p = rk.prime_implicates(random_clause_set(rng, rng.randint(2, 5), rng.randint(2, 8)))
+        out += [rk.trigger_hypergraph(p, k) for k in (0, 1, 2)]
+    shapes = [rk.extremal_tree(1, 4), rk.extremal_tree(1, 5)]
+    shapes += [trees.label_bfs(rng.choice(all_shapes(n))) for n in (5, 5, 6, 6)]
+    for t in shapes:
+        p = rk.prime_implicates(rk.doped_tree(t).clauses)
+        out += [rk.trigger_hypergraph(p, k) for k in (1, 2)]
+    # at k = 2 these beat the greedy hitting set, and the branch order
+    # decides which minimum one comes back
+    for i in (2, 58):
+        p = rk.prime_implicates(rk.doped_tree(trees.label_bfs(all_shapes(7)[i])).clauses)
+        out.append(rk.trigger_hypergraph(p, 2))
+    p = rk.prime_implicates(frozenset(example_f()))
+    out += [rk.trigger_hypergraph(p, k) for k in (0, 1, 2)]
+    a, b = rk.clause(1), rk.clause(-1, 2)
+    out.append(rk.TriggerHypergraph(1, (a, b), {a: frozenset(), b: frozenset({a, b})}))
+    out.append(rk.TriggerHypergraph(1, (), {}))
+    return out
+
+
+def test_searches_match_frozen_references():
+    for h in _equivalence_corpus():
+        assert trigger.matching_number(h) == ref_matching_number(h)
+        assert outcome(trigger.transversal_number, h) == outcome(ref_transversal_number, h)
+        vertices, _, masks = trigger._edge_masks(h)
+        edges = trigger._edge_list(masks)
+        assert [_decode(vertices, e) for e in edges] == ref_edge_list(h)
+        if all(edges):
+            greedy = trigger._greedy_transversal(edges)
+            assert _decode(vertices, greedy) == ref_greedy_transversal(ref_edge_list(h))
+
+
+def _count_calls(monkeypatch, name):
+    calls = [0]
+    search = getattr(trigger, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return search(*args)
+
+    monkeypatch.setattr(trigger, name, counted)
+    return calls
+
+
+# (_pack calls, _hit calls) on the doped trees of the test below
+SEARCH_SIZES = {
+    1: [(3753, 1), (8881, 109), (8282, 194)],
+    2: [(240, 51), (196, 11), (152, 11)],
+}
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_searches_prune_where_the_best_cannot_be_beaten(monkeypatch, k):
+    """Search sizes pinned on the doped 6-leaf trees: the matching search
+    stops at a node once the picked edges plus the candidates left cannot
+    beat the best matching, the hitting-set search once the chosen vertices
+    plus disjoint edges left cannot beat the best hitting set.  A weaker
+    bound returns the same outputs and is caught only here."""
+    packs, hits = _count_calls(monkeypatch, "_pack"), _count_calls(monkeypatch, "_hit")
+    sizes = []
+    shapes = [rk.extremal_tree(1, 5)] + [trees.label_bfs(all_shapes(6)[i]) for i in (16, 19)]
+    for t in shapes:
+        h = rk.trigger_hypergraph(rk.prime_implicates(rk.doped_tree(t).clauses), k)
+        packs[0] = hits[0] = 0
+        trigger.matching_number(h)
+        trigger.transversal_number(h)
+        sizes.append((packs[0], hits[0]))
+    assert sizes == SEARCH_SIZES[k]

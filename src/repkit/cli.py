@@ -18,6 +18,7 @@ cannot be read or written.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -40,7 +41,7 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _clause_out(c: core.Clause) -> list[int]:
-    return sorted(c, key=lambda x: (abs(x), x))
+    return sorted(c, key=core._lit_key)
 
 
 def cmd_analyze(args) -> int:
@@ -64,12 +65,12 @@ def cmd_analyze(args) -> int:
             out["k"] = args.k
         g = reductions.reduce_r(f, args.k) if m == "rk" else reductions.reduce_r_inf(f)
         out["refuted"] = g == core.BOT_SET
-        out["result"] = [_clause_out(c) for c in sorted(g, key=reductions.clause_key)]
+        out["result"] = [_clause_out(c) for c in sorted(g, key=core.clause_key)]
     elif m in ("prime", "essential"):
         p = (reductions.prime_implicates if m == "prime"
              else reductions.essential_prime_implicates)(f)
         out["value"] = len(p)
-        out["clauses"] = [_clause_out(c) for c in sorted(p, key=reductions.clause_key)]
+        out["clauses"] = [_clause_out(c) for c in sorted(p, key=core.clause_key)]
     elif m == "sat":
         out["satisfiable"] = core.is_satisfiable(f)
     print(json.dumps(out, indent=2))
@@ -80,13 +81,13 @@ def cmd_mps(args) -> int:
     clauses, _ = _read_clauses(args.file)
     f = frozenset(clauses)
     ws = mps.mps_subsets_direct(f) if args.direct else mps.mps_subsets(f)
-    ws = sorted(ws, key=lambda w: (len(w.subset), reductions.clause_key(w.conclusion)))
+    ws = sorted(ws, key=lambda w: (len(w.subset), core.clause_key(w.conclusion)))
     print(json.dumps({
         "count": len(ws),
         "total_mps": mps.is_total_mps(f),
         "max_prime_implicates": mps.has_max_prime_implicates(f),
         "witnesses": [{
-            "subset": [_clause_out(c) for c in sorted(w.subset, key=reductions.clause_key)],
+            "subset": [_clause_out(c) for c in sorted(w.subset, key=core.clause_key)],
             "conclusion": _clause_out(w.conclusion),
         } for w in ws],
     }, indent=2))
@@ -98,7 +99,7 @@ def cmd_dope(args) -> int:
     d = mps.dope(frozenset(clauses))
     comments = [f"doping variable {u} for clause {' '.join(map(str, _clause_out(c)))}"
                 for c, u in sorted(d.doping_map.items(),
-                                   key=lambda it: reductions.clause_key(it[0]))]
+                                   key=lambda it: core.clause_key(it[0]))]
     _write(core.emit_dimacs(d.ordered, "cnf", comments), args.output)
     return 0
 
@@ -147,9 +148,9 @@ def cmd_trigger(args) -> int:
         "k": args.k,
         "vertices": len(h.vertices),
         "transversal_number": tau,
-        "transversal": [_clause_out(c) for c in sorted(tau_set, key=reductions.clause_key)],
+        "transversal": [_clause_out(c) for c in sorted(tau_set, key=core.clause_key)],
         "matching_number": nu,
-        "matching": [[_clause_out(c) for c in sorted(e, key=reductions.clause_key)]
+        "matching": [[_clause_out(c) for c in sorted(e, key=core.clause_key)]
                      for e in nu_edges],
     }, indent=2))
     return 0
@@ -161,12 +162,6 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _stat_row(rec: bench.StatsRecord) -> dict:
-    return {"k": rec.k, "h": rec.h, "variant": rec.variant, "n": rec.n,
-            "c": rec.c, "l": rec.l, "alpha": rec.alpha,
-            "hardness": rec.hardness, "b_hk": rec.b_hk, "b_m": rec.b_m}
-
-
 def cmd_stats(args) -> int:
     if args.table:
         rows = [bench.stats(bench.InstanceSpec(k, h, v))
@@ -175,12 +170,11 @@ def cmd_stats(args) -> int:
         variants = [args.variant] if args.variant else [1, 2, 3]
         rows = [bench.stats(bench.InstanceSpec(args.k, args.h, v)) for v in variants]
     if args.json:
-        print(json.dumps([_stat_row(r) for r in rows], indent=2))
+        print(json.dumps([dataclasses.asdict(r) for r in rows], indent=2))
     elif args.csv:
-        cols = ["k", "h", "variant", "n", "c", "l", "alpha", "hardness", "b_hk", "b_m"]
-        print(",".join(cols))
+        print(",".join(f.name for f in dataclasses.fields(bench.StatsRecord)))
         for r in rows:
-            print(",".join(str(_stat_row(r)[c]) for c in cols))
+            print(",".join(map(str, dataclasses.astuple(r))))
     else:
         hdr = f"{'k':>2} {'h':>3} {'i':>2} {'n':>9} {'c':>10} {'l':>10} {'alpha':>8} {'hd':>3}"
         print(hdr)

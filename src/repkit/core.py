@@ -11,7 +11,8 @@ Partial assignments are dicts variable -> 0/1.
 literals per clause (Moskewicz et al., "Chaff", DAC 2001).  `solve` runs
 DPLL (Davis, Logemann and Loveland, CACM 1962) on it without recursion,
 pushing decisions and undoing them by trail mark; r_k and r_inf in
-`reductions` run on it too.
+`reductions` run on it too.  `assume` pushes phi_C, forming phi_C * F on F's
+trail until undone (solving under assumptions: Een and Sorensson, SAT 2003).
 """
 
 from __future__ import annotations
@@ -63,6 +64,14 @@ def clause_set(clauses: Iterable[Iterable[int]]) -> ClauseSet:
     return frozenset(clause(*c) for c in clauses)
 
 
+def _lit_key(lit: int) -> tuple[int, int]:
+    return (abs(lit), lit)
+
+
+def clause_key(c: Clause) -> tuple:
+    return (len(c), sorted(abs(x) for x in c), sorted(c))
+
+
 def var(lit: int) -> int:
     return abs(lit)
 
@@ -99,33 +108,22 @@ def apply_assignment(phi: Assignment, f: ClauseSet) -> ClauseSet:
 
     Contraction happens automatically (the result is a set).
     """
-    out = set()
-    for c in f:
-        img = _apply_clause(phi, c)
-        if img is not None:
-            out.add(img)
-    return frozenset(out)
-
-
-def _apply_clause(phi: Assignment, c: Clause) -> Clause | None:
-    """Image of one clause, or None if satisfied."""
-    kept = []
-    for x in c:
-        s = sat_lit(phi, x)
-        if s == 1:
-            return None
-        if s is None:
-            kept.append(x)
-    return frozenset(kept)
+    return frozenset(apply_clauses(phi, f))
 
 
 def apply_clauses(phi: Assignment, clauses: Iterable[Clause]) -> list[Clause]:
     """Image of a clause *list* (multi-clause-set mode: duplicates survive)."""
     out = []
     for c in clauses:
-        img = _apply_clause(phi, c)
-        if img is not None:
-            out.append(img)
+        kept = []
+        for x in c:
+            s = sat_lit(phi, x)
+            if s == 1:
+                break
+            if s is None:
+                kept.append(x)
+        else:
+            out.append(frozenset(kept))
     return out
 
 
@@ -145,7 +143,7 @@ class _Trail:
 
     def __init__(self, f: ClauseSet) -> None:
         self.vars = sorted({abs(x) for c in f for x in c})
-        code = {}
+        self.code = code = {}            # literal of F -> its code
         for i, v in enumerate(self.vars, start=1):
             code[v], code[-v] = 2 * i, 2 * i + 1
         size = 2 * len(self.vars) + 2
@@ -171,6 +169,12 @@ class _Trail:
         self.value[lit ^ 1] = -1
         self.trail.append(lit)
         return self._propagate()
+
+    def assume(self, c: Iterable[int]) -> bool:
+        """Push phi_C, the complement of each literal of C over var(F), and
+        propagate; False on a conflict.  The caller undoes to its own mark."""
+        code, push = self.code, self.push
+        return all(push(code[x] ^ 1) for x in c if x in code)
 
     def _propagate(self) -> bool:
         """Unit propagation from trail[head:]; False on a conflict."""
@@ -376,8 +380,10 @@ def canonical_dnf(f: ClauseSet, max_vars: int = 20) -> ClauseSet:
 
 
 def entails(f: ClauseSet, c: Iterable[int]) -> bool:
-    """F |= C, decided as unsatisfiability of <phi_C> * F."""
-    return not is_satisfiable(apply_assignment(falsifying_assignment(c), f))
+    """F |= C: phi_C pushed onto F's trail meets a conflict or leaves no model.
+    Every F entails a tautological C."""
+    c, t = frozenset(c), _Trail(f)
+    return any(-x in c for x in c) or not t.assume(c) or t.model() is None
 
 
 def equivalent(f: ClauseSet, g: ClauseSet) -> bool:
@@ -448,14 +454,12 @@ def emit_dimacs(clauses: Iterable[Clause], fmt: str = "cnf",
 
     Pass a sequence for a fixed clause order; frozensets are sorted canonically.
     """
-    if isinstance(clauses, (set, frozenset)):
-        clauses = sorted(clauses, key=lambda c: (len(c), sorted(abs(x) for x in c),
-                                                 sorted(c)))
-    clauses = list(clauses)
+    set_like = isinstance(clauses, (set, frozenset))
+    clauses = sorted(clauses, key=clause_key) if set_like else list(clauses)
     if num_vars is None:
         num_vars = max((abs(x) for c in clauses for x in c), default=0)
     lines = [f"c {s}" for s in comments]
     lines.append(f"p {fmt} {num_vars} {len(clauses)}")
     for c in clauses:
-        lines.append(" ".join(str(x) for x in sorted(c, key=lambda l: (abs(l), l))) + " 0")
+        lines.append(" ".join(str(x) for x in sorted(c, key=_lit_key)) + " 0")
     return "\n".join(lines) + "\n"

@@ -14,11 +14,10 @@ import itertools
 from dataclasses import dataclass, field
 
 from .core import (
-    BOT, Clause, ClauseSet, SizeLimitExceeded, apply_assignment, apply_clauses,
-    clause_set, entails, falsifying_assignment, is_satisfiable, literals,
-    variables,
+    Clause, ClauseSet, SizeLimitExceeded, apply_clauses, clause_key, entails,
+    falsifying_assignment, is_satisfiable, literals, variables,
 )
-from .reductions import clause_key, prime_implicates
+from .reductions import prime_implicates
 
 
 def pure_clause(f: ClauseSet) -> Clause:
@@ -71,22 +70,20 @@ class MpsWitness:
     conclusion: Clause      # its unique minimal conclusion puc(F')
 
 
+def _puc_image(f: ClauseSet) -> ClauseSet | None:
+    """phi_{puc(F)} * F; None if F is empty or two premises collapse."""
+    imgs = apply_clauses(falsifying_assignment(pure_clause(f)), f)
+    return frozenset(imgs) if f and len(set(imgs)) == len(imgs) else None
+
+
 def is_mps(f: ClauseSet) -> MpsWitness | None:
     """Check whether F is a minimal premise set (for its pure clause).
 
     F is an mps iff the images of its clauses under phi_{puc(F)} are pairwise
     distinct and form a minimally unsatisfiable clause-set.
     """
-    if not f:
-        return None
-    phi = falsifying_assignment(pure_clause(f))
-    imgs = apply_clauses(phi, list(f))
-    if len(set(imgs)) != len(imgs):
-        return None  # contraction: two premises collapse
-    g = frozenset(imgs)
-    if is_satisfiable(g):
-        return None
-    if not all(is_satisfiable(g - {c}) for c in g):
+    g = _puc_image(f)
+    if g is None or is_satisfiable(g) or not all(is_satisfiable(g - {c}) for c in g):
         return None
     return MpsWitness(f, pure_clause(f))
 
@@ -126,14 +123,11 @@ def is_total_mps(f: ClauseSet) -> bool:
     """Every non-empty subset of F an mps: phi_{puc(F)} must be contraction-
     free and send F into the saturated deficiency-1 class."""
     from .trees import NotSmu1Error, tsmuo  # deferred: trees imports this module
-    if not f:
-        return False
-    phi = falsifying_assignment(pure_clause(f))
-    imgs = apply_clauses(phi, list(f))
-    if len(set(imgs)) != len(imgs):
+    g = _puc_image(f)
+    if g is None:
         return False
     try:
-        tsmuo(frozenset(imgs))
+        tsmuo(g)
     except NotSmu1Error:
         return False
     return True
@@ -162,6 +156,6 @@ def prime_implicates_bounded(f: ClauseSet, k: int) -> ClauseSet:
         for sub in itertools.combinations(cs, r):
             g = frozenset(sub)
             c = pure_clause(g)
-            if not is_satisfiable(apply_assignment(falsifying_assignment(c), g)):
+            if entails(g, c):
                 collected.add(c)
     return frozenset(c for c in collected if not any(d < c for d in collected))

@@ -14,7 +14,9 @@ Literal scans run in a fixed order (ascending variable, positive literal
 first), so results are reproducible; verdicts are order-independent anyway.
 
 Every r_k with k >= 1 runs on the propagation engine `core._Trail`, one per
-call; r_1 (`propagate_units`) is its unit propagation.  From k = 2 on,
+call, also of `hardness` and `p_hardness`, which push each phi_C onto F's
+trail and undo it (only `w_hardness` builds images phi_C * F).  r_1
+(`propagate_units`) is the trail's unit propagation.  From k = 2 on,
 failed literals are probed by push, propagate and pop on the trail (Lynce
 and Marques-Silva, ICTAI 2003), recursing on it for the r_{k-1} test, so no
 probe rebuilds the clause-set.  r_k is confluent, so the trail's final
@@ -44,17 +46,13 @@ from operator import and_
 
 from .core import (
     Assignment, BOT, BOT_SET, Clause, ClauseSet, SizeLimitExceeded, _Trail,
-    apply_assignment, complement, entails, falsifying_assignment,
+    apply_assignment, clause_key, entails, falsifying_assignment,
     is_satisfiable, total_assignments, variables,
 )
 
 
 def clear_caches() -> None:
     """Kept for callers that reset state between runs; nothing is cached."""
-
-
-def clause_key(c: Clause) -> tuple:
-    return (len(c), sorted(abs(x) for x in c), sorted(c))
 
 
 def propagate_units(f: ClauseSet) -> ClauseSet:
@@ -102,9 +100,7 @@ def refutation_level(f: ClauseSet) -> int:
 
     One trail is raised level by level, each fixpoint starting the next.
     """
-    if BOT in f:
-        return 0
-    level = _Trail(f).raise_to(len(variables(f)))
+    level = _hd_level(f, _Trail(f))(BOT)
     if level is None:
         raise ValueError("refutation_level requires an unsatisfiable clause-set")
     return level
@@ -125,33 +121,45 @@ def _as_witness(phi: Assignment) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(phi.items()))
 
 
-def _max_over_prime_implicates(f: ClauseSet, kind: str, level: Callable[[ClauseSet], int],
+def _level_under(t: _Trail, c: Clause, k: int) -> int | None:
+    """On F's trail t, the first j in 1..k with r_j refuting phi_C * F, or None."""
+    mark = len(t.trail)
+    level = t.raise_to(k) if t.assume(c) else 1
+    t.undo(mark)
+    return level
+
+
+def _hd_level(f: ClauseSet, t: _Trail) -> Callable[[Clause], int | None]:
+    """C -> hd(phi_C * F) on F's trail t, for C bot or a prime implicate: then
+    phi_C * F holds bot iff C is in F, since an implicate inside C is C."""
+    return lambda c: 0 if c in f else _level_under(t, c, len(t.vars))
+
+
+def _max_over_prime_implicates(f: ClauseSet, t: _Trail, kind: str, level: Callable[[Clause], int],
                                max_prime_clauses: int = 10 ** 6
                                ) -> tuple[HardnessReport, ClauseSet]:
-    """max over instantiations phi with phi * F unsatisfiable of level(phi * F),
-    together with the prime implicates of F ({bot} when F is unsatisfiable).
-
-    For satisfiable F the maximum is attained on the falsifying assignments
-    phi_C of the prime implicates C, which is what gets enumerated; the
-    witness is the phi_C of a maximizing C.
-    """
-    if not is_satisfiable(f):
-        return HardnessReport(kind, level(f), _as_witness({})), BOT_SET
+    """max over instantiations phi with phi * F unsatisfiable of level(C), the
+    level of phi_C * F, and the prime implicates of F ({bot} if F, on trail t,
+    is unsatisfiable).  For satisfiable F the maximum is attained on the
+    falsifying assignments phi_C of the prime implicates C, which is what gets
+    enumerated; the witness is the phi_C of a maximizing C."""
+    if t.model() is None:
+        return HardnessReport(kind, level(BOT), _as_witness({})), BOT_SET
     prime = prime_implicates(f, max_prime_clauses)
-    best, best_phi = 0, None
+    best, best_c = 0, None
     for c in sorted(prime, key=clause_key):
-        phi = falsifying_assignment(c)
-        lv = level(apply_assignment(phi, f))
-        if lv > best or best_phi is None:
-            best, best_phi = lv, phi
-    witness = None if best_phi is None else _as_witness(best_phi)  # None: tautology
-    return HardnessReport(kind, best, witness), prime
+        lv = level(c)
+        if lv > best or best_c is None:
+            best, best_c = lv, c
+    witness = None if best_c is None else _as_witness(falsifying_assignment(best_c))
+    return HardnessReport(kind, best, witness), prime  # witness None: tautology
 
 
 def hardness(f: ClauseSet, max_prime_clauses: int = 10 ** 6) -> HardnessReport:
     """hd(F): max over instantiations phi with phi * F unsatisfiable of the
     refutation level of phi * F."""
-    return _max_over_prime_implicates(f, "hd", refutation_level, max_prime_clauses)[0]
+    t = _Trail(f)
+    return _max_over_prime_implicates(f, t, "hd", _hd_level(f, t), max_prime_clauses)[0]
 
 
 def w_refutation_level(f: ClauseSet, max_clauses: int = 10 ** 6) -> int:
@@ -167,7 +175,10 @@ def w_refutation_level(f: ClauseSet, max_clauses: int = 10 ** 6) -> int:
 
 def w_hardness(f: ClauseSet, max_prime_clauses: int = 10 ** 6) -> HardnessReport:
     """whd(F): like hardness, with k-resolution refutation levels."""
-    return _max_over_prime_implicates(f, "whd", w_refutation_level, max_prime_clauses)[0]
+    def level(c: Clause) -> int:
+        return w_refutation_level(apply_assignment(falsifying_assignment(c), f))
+
+    return _max_over_prime_implicates(f, _Trail(f), "whd", level, max_prime_clauses)[0]
 
 
 def p_hardness(f: ClauseSet, max_vars: int = 14) -> HardnessReport:
@@ -195,13 +206,18 @@ def p_hardness(f: ClauseSet, max_vars: int = 14) -> HardnessReport:
     if n > max_vars:
         raise SizeLimitExceeded(f"p_hardness over {n} > {max_vars} variables",
                                 budget="variables", limit=max_vars, progress=n)
-    rep, prime = _max_over_prime_implicates(f, "hd", refutation_level)
+    t = _Trail(f)
+    rep, prime = _max_over_prime_implicates(f, t, "hd", _hd_level(f, t))
     hd = rep.value
     for c in sorted(prime, key=clause_key):
         for x in sorted(c, key=abs):
-            phi = falsifying_assignment(c - {x})
-            if abs(x) in variables(reduce_r(apply_assignment(phi, f), hd)):
-                return HardnessReport("phd", hd + 1, _as_witness(phi))
+            # var(x) leaves r_hd(phi_{C - x} * F) iff r_hd refutes it or sets var(x):
+            # it forces x, so an open clause holds var(x) while unset.  hd = 0 keeps {x}.
+            mark = len(t.trail)
+            kept = not hd or t.assume(c - {x}) and t.raise_to(hd) is None and not t.value[t.code[x]]
+            t.undo(mark)
+            if kept:
+                return HardnessReport("phd", hd + 1, _as_witness(falsifying_assignment(c - {x})))
     return HardnessReport("phd", hd, _as_witness({}))
 
 

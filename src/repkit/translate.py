@@ -14,12 +14,12 @@ import itertools
 from dataclasses import dataclass
 
 from .core import (
-    BOT, BOT_SET, Clause, ClauseSet, SizeLimitExceeded, apply_assignment,
-    clause, complement, entails, falsifying_assignment, is_satisfiable,
+    BOT, BOT_SET, Clause, ClauseSet, SizeLimitExceeded, _lit_key, _Trail,
+    apply_assignment, clause, clause_key, complement, entails, is_satisfiable,
     total_assignments, variables,
 )
 from .mps import DopedClauseSet
-from .reductions import clause_key, reduce_r
+from .reductions import _level_under
 
 
 @dataclass
@@ -59,7 +59,7 @@ def _selector_translation(dnf, first_new_var: int | None, kind: str) -> Translat
           if first_new_var is None else first_new_var)
     new_vars = {v0 + i: c for i, c in enumerate(order)}
     out = [frozenset({-(v0 + i), x})
-           for i, c in enumerate(order) for x in sorted(c, key=lambda l: (abs(l), l))]
+           for i, c in enumerate(order) for x in sorted(c, key=_lit_key)]
     if kind == "cant":
         out += [frozenset({v0 + i}) | complement(c) for i, c in enumerate(order)]
     out.append(frozenset(v0 + i for i in range(len(order))))
@@ -141,17 +141,6 @@ def two_xor_system(n: int) -> ClauseSet:
 # k-bases
 # ---------------------------------------------------------------------------
 
-def _equivalent_to(f: ClauseSet, prime: list[Clause]) -> bool:
-    return all(entails(f, c) for c in prime)
-
-
-def _hardness_at_most(f: ClauseSet, prime: list[Clause], k: int) -> bool:
-    """F in UC_k, given that primec_0(F) = prime: r_k must refute every
-    instantiation falsifying a prime implicate."""
-    return all(reduce_r(apply_assignment(falsifying_assignment(c), f), k) == BOT_SET
-               for c in prime)
-
-
 def k_base(prime: ClauseSet, k: int) -> ClauseSet:
     """A small equivalent subset F of the prime implicates with hd(F) <= k.
 
@@ -165,8 +154,11 @@ def k_base(prime: ClauseSet, k: int) -> ClauseSet:
     f = set(necessary)
 
     def ok(g: set[Clause]) -> bool:
-        gs = frozenset(g)
-        return _equivalent_to(gs, order) and _hardness_at_most(gs, order, k)
+        """r_k (sound) refutes phi_C * g on g's trail for every prime implicate
+        C, so g is also equivalent to prime.  g lies within prime, so bot is in
+        phi_C * g iff C is in g: a clause of g inside C would be C itself."""
+        t = _Trail(frozenset(g))
+        return all(c in g or k and _level_under(t, c, k) is not None for c in order)
 
     for c in order:
         if c in f:

@@ -27,8 +27,7 @@ import json
 from dataclasses import dataclass
 from math import comb
 
-from .core import Clause, ClauseSet, SizeLimitExceeded, complement
-from .reductions import clause_key
+from .core import Clause, ClauseSet, SizeLimitExceeded, _lit_key, clause_key, complement
 from .trees import (
     Tree, _depth_k_leaf_blocks, _first_doping_var, _leaf_set_implicate, _node_masks, leaf_count,
 )
@@ -196,7 +195,7 @@ class DisjointEdgeCertificate:
             "size": self.size,
             "edges": [{
                 "leaf_set": sorted(v),
-                "clause": sorted(c, key=lambda l: (abs(l), l)),
+                "clause": sorted(c, key=_lit_key),
                 "member_leaf_masks": list(ms),
             } for v, c, ms in zip(self.leaf_sets, self.clauses, self.members)],
         }, indent=2)

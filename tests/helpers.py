@@ -19,9 +19,10 @@ from dataclasses import make_dataclass
 from functools import lru_cache
 
 from repkit import (
-    BOT, BOT_SET, Clause, ClauseSet, LEAF, NotSmu1Error, SizeLimitExceeded, Tree,
-    TriggerHypergraph, alpha, apply_assignment, hardness, inner_count, leaf_count, literals,
-    reduce_r, refutation_level, variables,
+    BOT, BOT_SET, Clause, ClauseSet, HardnessReport, LEAF, NotSmu1Error, SizeLimitExceeded,
+    Tree, TriggerHypergraph, alpha, apply_assignment, falsifying_assignment, hardness,
+    inner_count, is_satisfiable, leaf_count, literals, prime_implicates, pure_clause,
+    reduce_r, refutation_level, variables, w_refutation_level,
 )
 from repkit.reductions import clause_key
 
@@ -307,6 +308,90 @@ def ref_p_hardness(f: ClauseSet) -> int:
             for val in (0, 1):
                 stack.append(apply_assignment({v: val}, g))
     return hd
+
+
+# Frozen references on clause-set images: the hd/whd maximum, p_hardness,
+# k_base, entails and prime_implicates_bounded as they were before the
+# library pushed phi_C onto F's one trail.  Each instance phi_C * F is
+# rebuilt with apply_assignment and solved or reduced afresh.
+def ref_image_entails(f: ClauseSet, c) -> bool:
+    return not is_satisfiable(apply_assignment(falsifying_assignment(c), f))
+
+
+def _ref_image_max(f: ClauseSet, kind: str, level) -> tuple[HardnessReport, ClauseSet]:
+    if not is_satisfiable(f):
+        return HardnessReport(kind, level(f), ()), BOT_SET
+    prime = prime_implicates(f)
+    best, best_phi = 0, None
+    for c in sorted(prime, key=clause_key):
+        phi = falsifying_assignment(c)
+        lv = level(apply_assignment(phi, f))
+        if lv > best or best_phi is None:
+            best, best_phi = lv, phi
+    witness = None if best_phi is None else tuple(sorted(best_phi.items()))
+    return HardnessReport(kind, best, witness), prime
+
+
+def ref_image_hardness(f: ClauseSet) -> HardnessReport:
+    return _ref_image_max(f, "hd", refutation_level)[0]
+
+
+def ref_image_w_hardness(f: ClauseSet) -> HardnessReport:
+    return _ref_image_max(f, "whd", w_refutation_level)[0]
+
+
+def ref_image_p_hardness(f: ClauseSet, max_vars: int = 14) -> HardnessReport:
+    n = len(variables(f))
+    if n > max_vars:
+        raise SizeLimitExceeded(f"p_hardness over {n} > {max_vars} variables")
+    rep, prime = _ref_image_max(f, "hd", refutation_level)
+    hd = rep.value
+    for c in sorted(prime, key=clause_key):
+        for x in sorted(c, key=abs):
+            phi = falsifying_assignment(c - {x})
+            if abs(x) in variables(reduce_r(apply_assignment(phi, f), hd)):
+                return HardnessReport("phd", hd + 1, tuple(sorted(phi.items())))
+    return HardnessReport("phd", hd, ())
+
+
+def ref_image_k_base(prime: ClauseSet, k: int) -> ClauseSet:
+    order = sorted(prime, key=clause_key)
+    necessary = {c for c in order if not ref_image_entails(prime - {c}, c)}
+    f = set(necessary)
+
+    def ok(g: set[Clause]) -> bool:
+        gs = frozenset(g)
+        return (all(ref_image_entails(gs, c) for c in order)
+                and all(reduce_r(apply_assignment(falsifying_assignment(c), gs), k) == BOT_SET
+                        for c in order))
+
+    for c in order:
+        if c in f:
+            continue
+        if ok(f):
+            break
+        f.add(c)
+    if not ok(f):
+        raise ValueError(f"the function has no {k}-base: hardness of the "
+                         "full prime-implicate set already exceeds the bound")
+    for c in sorted(f, key=clause_key, reverse=True):
+        if c in necessary:
+            continue
+        if ok(f - {c}):
+            f.discard(c)
+    return frozenset(f)
+
+
+def ref_image_prime_implicates_bounded(f: ClauseSet, k: int) -> ClauseSet:
+    cs = sorted(f, key=clause_key)
+    collected: set[Clause] = set()
+    for r in range(1, min(k, len(cs)) + 1):
+        for sub in itertools.combinations(cs, r):
+            g = frozenset(sub)
+            c = pure_clause(g)
+            if not is_satisfiable(apply_assignment(falsifying_assignment(c), g)):
+                collected.add(c)
+    return frozenset(c for c in collected if not any(d < c for d in collected))
 
 
 # Frozen reference certificate: depth_k_incomparable_family as first

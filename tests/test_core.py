@@ -85,6 +85,9 @@ def test_entails_equivalent():
     assert rk.entails(f, [2])
     assert not rk.entails(f, [-2])
     assert rk.equivalent(f, rk.clause_set([[1], [2]]))
+    # every clause-set entails a tautology, in either literal order
+    for g in (rk.clause_set([[1, 2]]), rk.TOP):
+        assert rk.entails(g, [1, -1]) and rk.entails(g, [-1, 1])
 
 
 def test_dimacs_roundtrip_basic():

@@ -13,9 +13,12 @@ from hypothesis import given, settings, strategies as st
 
 import repkit as rk
 from repkit import bench
+from repkit import core, reductions, translate
 from helpers import (
-    random_clause_set, ref_propagate_units, ref_reduce_r, ref_reduce_r_inf,
-    ref_refutation_level, ref_solve,
+    all_shapes, outcome as outcome_or_error, random_clause_set, ref_image_entails,
+    ref_image_hardness, ref_image_k_base, ref_image_p_hardness,
+    ref_image_prime_implicates_bounded, ref_image_w_hardness, ref_propagate_units,
+    ref_reduce_r, ref_reduce_r_inf, ref_refutation_level, ref_solve,
 )
 
 BUDGETS = (1, 2, 3, 5, 8)
@@ -117,3 +120,85 @@ def test_reduce_r_monotone_in_k_and_idempotent(f, k):
     else:
         assert rk.variables(rk.reduce_r(f, k + 1)) <= rk.variables(g)
 
+
+# ---------------------------------------------------------------------------
+# instances phi_C * F as assumptions on F's trail, against clause-set images
+# ---------------------------------------------------------------------------
+
+def instance_corpus():
+    """Random clause-sets over <= 8 variables, bot, top and units among them;
+    doped trees with 5-8 leaves; two_xor_system(3) and (4)."""
+    rng = random.Random(24)
+    fs = [rk.TOP, rk.BOT_SET, rk.clause_set([[1]]), rk.clause_set([[1], [-1]]),
+          rk.clause_set([[1], [-1, 2], [2, 3]]), rk.BOT_SET | rk.clause_set([[1, 2]])]
+    for _ in range(150):
+        nv = rng.randint(1, 8)
+        f = random_clause_set(rng, nv, rng.randint(1, 3 * nv), rng.randint(1, 4))
+        fs.append(f | {rk.BOT} if rng.random() < .05 else f)
+    for n in range(5, 9):
+        for shape in rng.sample(all_shapes(n), 2):
+            fs.append(rk.doped_tree(rk.label_bfs(shape)).clauses)
+    return fs + [rk.two_xor_system(3), rk.two_xor_system(4)]
+
+
+def test_hardness_reports_equal_the_image_references():
+    for f in instance_corpus():
+        key = sorted(map(sorted, f))
+        assert rk.hardness(f) == ref_image_hardness(f), key
+        assert rk.w_hardness(f) == ref_image_w_hardness(f), key
+        assert outcome_or_error(rk.p_hardness, f) == \
+            outcome_or_error(ref_image_p_hardness, f), key
+
+
+def test_k_base_and_bounded_implicates_equal_the_image_references():
+    for f in instance_corpus():
+        prime = rk.prime_implicates(f)
+        assert rk.k_base(prime, 0) == prime          # r_0 refutes phi_C * g only for C in g
+        # the reference's k = 0 pass takes 12 s on the 127 implicates of 7 leaves
+        for k in range(0 if len(prime) < 100 else 1, 4):
+            assert outcome_or_error(rk.k_base, prime, k) == \
+                outcome_or_error(ref_image_k_base, prime, k), (sorted(map(sorted, f)), k)
+        for k in (1, 2, 3):
+            assert rk.prime_implicates_bounded(f, k) == ref_image_prime_implicates_bounded(f, k)
+
+
+def test_entails_equals_the_image_reference():
+    rng = random.Random(25)
+    for f in instance_corpus():
+        vs = sorted(rk.variables(f))
+        vs.append(max(vs, default=0) + 1)            # a variable outside var(F)
+        for _ in range(10):
+            picked = rng.sample(vs, rng.randint(0, min(3, len(vs))))
+            c = {v if rng.random() < .5 else -v for v in picked}
+            assert rk.entails(f, c) == ref_image_entails(f, c), (sorted(map(sorted, f)), c)
+
+
+@pytest.mark.parametrize("measure", [rk.hardness, rk.p_hardness])
+def test_one_trail_per_hardness_call(monkeypatch, measure):
+    built = []
+
+    class CountedTrail(core._Trail):
+        def __init__(self, f):
+            built.append(f)
+            super().__init__(f)
+
+    monkeypatch.setattr(core, "_Trail", CountedTrail)
+    monkeypatch.setattr(reductions, "_Trail", CountedTrail)
+    for f in (rk.doped_tree(rk.extremal_tree(2, 3)).clauses, rk.two_xor_system(3),
+              rk.clause_set([[1, 2], [-2, 3], [-1, -3]]), rk.TOP):
+        built.clear()
+        measure(f)
+        assert built == [f]
+
+
+def test_instances_build_no_clause_set_images(monkeypatch):
+    def refuse(phi, f):
+        raise AssertionError("an instance was rebuilt with apply_assignment")
+
+    for module in (core, reductions, translate):
+        monkeypatch.setattr(module, "apply_assignment", refuse)
+    f = rk.doped_tree(rk.extremal_tree(2, 3)).clauses
+    assert (rk.hardness(f).value, rk.p_hardness(f).value) == (2, 3)
+    assert rk.k_base(rk.prime_implicates(f), 2) <= rk.prime_implicates(f)
+    assert rk.entails(f, max(f, key=core.clause_key))
+    assert rk.prime_implicates_bounded(f, 2)

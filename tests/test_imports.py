@@ -1,0 +1,26 @@
+"""Every name that a module of src/repkit imports is used in that module.
+
+`repkit/__init__.py` is exempt, since its imports are the package's
+re-exports, and so is `from __future__ import annotations`.
+"""
+
+import ast
+from pathlib import Path
+
+import repkit
+
+
+def test_no_unused_imports_in_src():
+    unused = []
+    for path in sorted(Path(repkit.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name != "annotations" and name not in used:
+                        unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []

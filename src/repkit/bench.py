@@ -16,6 +16,7 @@ order.  Generation is bit-deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import comb
 
 from .core import Clause, emit_dimacs, is_satisfiable
@@ -80,21 +81,15 @@ def stats(spec: InstanceSpec) -> StatsRecord:
 
 def generate(spec: InstanceSpec) -> tuple[list[Clause], int]:
     """The instance as an ordered clause list, plus its variable count."""
-    t = extremal_tree(spec.k, spec.h)
-    d = doped_tree(t)
-    a = alpha(spec.k, spec.h)
-    dv = d.doping_vars
-    flipped = tuple(frozenset(-x if abs(x) in dv else x for x in c)
-                    for c in d.ordered)
+    d = doped_tree(extremal_tree(spec.k, spec.h))
+    flipped = [c ^ {u, -u} for c, u in zip(d.ordered, d.doping_map.values())]
     if spec.variant == 1:
-        out = list(flipped) + list(d.ordered)
-    else:
-        dnf = complement_clauses(list(flipped))
-        tr = cant(dnf, first_new_var=2 * a) if spec.variant == 2 else \
-            cantm(dnf, first_new_var=2 * a)
-        out = list(flipped) + list(tr.ordered)
-    n = max(abs(x) for c in out for x in c)
-    return out, n
+        out = flipped + list(d.ordered)
+    else:                              # one clause per leaf: selectors start at 2a
+        translation = cant if spec.variant == 2 else cantm
+        out = flipped + list(translation(complement_clauses(flipped),
+                                         first_new_var=2 * len(flipped)).ordered)
+    return out, max(map(abs, chain.from_iterable(out)))
 
 
 def instance_comments(spec: InstanceSpec) -> list[str]:

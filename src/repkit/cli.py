@@ -41,7 +41,7 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _clause_out(c: core.Clause) -> list[int]:
-    return sorted(c, key=core._lit_key)
+    return sorted(c, key=abs)
 
 
 def cmd_analyze(args) -> int:

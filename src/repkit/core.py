@@ -18,6 +18,7 @@ trail until undone (solving under assumptions: Een and Sorensson, SAT 2003).
 from __future__ import annotations
 
 import itertools
+from operator import neg
 from typing import Iterable, Iterator
 
 Literal = int
@@ -55,17 +56,13 @@ def clause(*lits: int) -> Clause:
     c = frozenset(lits)
     if 0 in c:
         raise ValueError("0 is not a literal")
-    if any(-x in c for x in c):
+    if not c.isdisjoint(map(neg, c)):
         raise ValueError(f"complementary pair in clause {sorted(c)}")
     return c
 
 
 def clause_set(clauses: Iterable[Iterable[int]]) -> ClauseSet:
     return frozenset(clause(*c) for c in clauses)
-
-
-def _lit_key(lit: int) -> tuple[int, int]:
-    return (abs(lit), lit)
 
 
 def clause_key(c: Clause) -> tuple:
@@ -77,7 +74,7 @@ def var(lit: int) -> int:
 
 
 def complement(c: Iterable[int]) -> Clause:
-    return frozenset(-x for x in c)
+    return frozenset(map(neg, c))
 
 
 def variables(f: ClauseSet | Clause) -> frozenset[int]:
@@ -394,6 +391,14 @@ def equivalent(f: ClauseSet, g: ClauseSet) -> bool:
 # DIMACS
 # ---------------------------------------------------------------------------
 
+class _Ints(dict):
+    """DIMACS token -> int, one int object per distinct token."""
+
+    def __missing__(self, token: str) -> int:
+        self[token] = x = int(token)
+        return x
+
+
 def parse_dimacs(text: str) -> tuple[list[Clause], str]:
     """Parse DIMACS CNF/DNF; returns (clause list in file order, format name).
 
@@ -403,29 +408,28 @@ def parse_dimacs(text: str) -> tuple[list[Clause], str]:
     fmt = None
     nvars = nclauses = 0
     pending: list[int] = []
-    ints: dict[str, int] = {}  # one int object per distinct token
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        s = raw.strip()
-        if not s or s.startswith("c"):
+    ints = _Ints()
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        tokens = line.split()
+        if not tokens or tokens[0][0] == "c":
             continue
-        if s.startswith("p"):
+        if tokens[0][0] == "p":
             if fmt is not None:
                 raise DimacsError(f"line {lineno}: duplicate problem line")
-            parts = s.split()
-            if len(parts) != 4 or parts[1] not in ("cnf", "dnf"):
-                raise DimacsError(f"line {lineno}: bad problem line {s!r}")
-            fmt = parts[1]
+            if len(tokens) != 4 or tokens[1] not in ("cnf", "dnf"):
+                raise DimacsError(f"line {lineno}: bad problem line {line.strip()!r}")
+            fmt = tokens[1]
             try:
-                nvars, nclauses = int(parts[2]), int(parts[3])
+                nvars, nclauses = int(tokens[2]), int(tokens[3])
             except ValueError:
-                raise DimacsError(f"line {lineno}: bad counts in {s!r}") from None
+                raise DimacsError(f"line {lineno}: bad counts in {line.strip()!r}") from None
             continue
         if fmt is None:
             raise DimacsError(f"line {lineno}: clause before problem line")
         try:
-            lits = [ints[x] if x in ints else ints.setdefault(x, int(x)) for x in s.split()]
+            lits = list(map(ints.__getitem__, tokens))
         except ValueError:
-            raise DimacsError(f"line {lineno}: bad token in {s!r}") from None
+            raise DimacsError(f"line {lineno}: bad token in {line.strip()!r}") from None
         start = 0  # lits[start:] is not yet part of a clause
         for _ in range(lits.count(0)):
             end = lits.index(0, start)
@@ -442,7 +446,7 @@ def parse_dimacs(text: str) -> tuple[list[Clause], str]:
         raise DimacsError("trailing literals without closing 0")
     if len(clauses) != nclauses:
         raise DimacsError(f"header says {nclauses} clauses, found {len(clauses)}")
-    maxv = max((abs(x) for c in clauses for x in c), default=0)
+    maxv = max(map(abs, ints.values()), default=0)
     if maxv > nvars:
         raise DimacsError(f"header says {nvars} variables, found variable {maxv}")
     return clauses, fmt
@@ -450,16 +454,17 @@ def parse_dimacs(text: str) -> tuple[list[Clause], str]:
 
 def emit_dimacs(clauses: Iterable[Clause], fmt: str = "cnf",
                 comments: Iterable[str] = (), num_vars: int | None = None) -> str:
-    """Serialize deterministically: given clause order, sorted literals within.
+    """Serialize deterministically: given clause order, literals by variable within.
 
     Pass a sequence for a fixed clause order; frozensets are sorted canonically.
+    Every clause must be complement-free, as `clause` and `parse_dimacs` make
+    it, so each variable occurs once in it.
     """
     set_like = isinstance(clauses, (set, frozenset))
     clauses = sorted(clauses, key=clause_key) if set_like else list(clauses)
     if num_vars is None:
-        num_vars = max((abs(x) for c in clauses for x in c), default=0)
+        num_vars = max(map(abs, itertools.chain.from_iterable(clauses)), default=0)
     lines = [f"c {s}" for s in comments]
     lines.append(f"p {fmt} {num_vars} {len(clauses)}")
-    for c in clauses:
-        lines.append(" ".join(str(x) for x in sorted(c, key=_lit_key)) + " 0")
+    lines += [" ".join(map(str, sorted(c, key=abs))) + " 0" for c in clauses]
     return "\n".join(lines) + "\n"

@@ -340,14 +340,15 @@ def prime_implicates_bruteforce(f: ClauseSet, max_vars: int = 8) -> ClauseSet:
     if len(vs) > max_vars:
         raise SizeLimitExceeded(f"bruteforce prime implicates over {len(vs)} variables",
                                 budget="variables", limit=max_vars, progress=len(vs))
-    implicates = []
+    t = _Trail(f)
+    mark, implicates = len(t.trail), []
     stack: list[tuple[int, tuple[int, ...]]] = [(0, ())]
     while stack:
         i, lits = stack.pop()
-        if i == len(vs):
-            c = frozenset(lits)
-            if entails(f, c):
-                implicates.append(c)
+        if i == len(vs):   # F |= C: a refuted trail, or phi_C leaves no model
+            if t.refuted or not t.assume(lits) or t.model() is None:
+                implicates.append(frozenset(lits))
+            t.undo(mark)
             continue
         v = vs[i]
         stack.append((i + 1, lits))

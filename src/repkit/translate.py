@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 
 from .core import (
-    BOT, BOT_SET, Clause, ClauseSet, SizeLimitExceeded, _lit_key, _Trail,
+    BOT, BOT_SET, Clause, ClauseSet, SizeLimitExceeded, _Trail,
     apply_assignment, clause, clause_key, complement, entails, is_satisfiable,
     total_assignments, variables,
 )
@@ -59,12 +59,11 @@ def _selector_translation(dnf, first_new_var: int | None, kind: str) -> Translat
           if first_new_var is None else first_new_var)
     new_vars = {v0 + i: c for i, c in enumerate(order)}
     out = [frozenset({-(v0 + i), x})
-           for i, c in enumerate(order) for x in sorted(c, key=_lit_key)]
+           for i, c in enumerate(order) for x in sorted(c, key=abs)]
     if kind == "cant":
         out += [frozenset({v0 + i}) | complement(c) for i, c in enumerate(order)]
     out.append(frozenset(v0 + i for i in range(len(order))))
-    seen: set[Clause] = set()
-    ordered = tuple(c for c in out if not (c in seen or seen.add(c)))
+    ordered = tuple(dict.fromkeys(out))
     return TranslationResult(frozenset(ordered), ordered, new_vars, kind)
 
 

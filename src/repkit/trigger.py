@@ -27,7 +27,7 @@ import json
 from dataclasses import dataclass
 from math import comb
 
-from .core import Clause, ClauseSet, SizeLimitExceeded, _lit_key, clause_key, complement
+from .core import Clause, ClauseSet, SizeLimitExceeded, clause_key, complement
 from .trees import (
     Tree, _depth_k_leaf_blocks, _first_doping_var, _leaf_set_implicate, _node_masks, leaf_count,
 )
@@ -195,7 +195,7 @@ class DisjointEdgeCertificate:
             "size": self.size,
             "edges": [{
                 "leaf_set": sorted(v),
-                "clause": sorted(c, key=_lit_key),
+                "clause": sorted(c, key=abs),
                 "member_leaf_masks": list(ms),
             } for v, c, ms in zip(self.leaf_sets, self.clauses, self.members)],
         }, indent=2)

@@ -5,9 +5,10 @@ hardness by exhaustive recursion over partial assignments, p-hardness by
 its plain definition, width-bounded refutation by a subsumption-free
 closure.  Library results are checked against these on small inputs.
 The ref_* functions are frozen copies of implementations the library has
-replaced; they rebuild the clause-set where the library uses its trail, and
+replaced; they rebuild the clause-set where the library uses its trail,
 hold clauses (and trigger hyperedges) as frozensets where the library uses
-bitmasks.
+bitmasks, and read and write DIMACS text with a Python frame per literal
+where the library maps builtins over whole lines and clauses.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import make_dataclass
 from functools import lru_cache
 
 from repkit import (
-    BOT, BOT_SET, Clause, ClauseSet, HardnessReport, LEAF, NotSmu1Error, SizeLimitExceeded,
+    BOT, BOT_SET, Clause, ClauseSet, DimacsError, HardnessReport, LEAF, NotSmu1Error, SizeLimitExceeded,
     Tree, TriggerHypergraph, alpha, apply_assignment, falsifying_assignment, hardness,
     inner_count, is_satisfiable, leaf_count, literals, prime_implicates, pure_clause,
     reduce_r, refutation_level, variables, w_refutation_level,
@@ -725,3 +726,78 @@ def ref_matching_number(h: TriggerHypergraph) -> tuple[int, tuple[frozenset[Clau
 
     go(0, frozenset(), ())
     return best[0], best[1]
+
+
+# ---------------------------------------------------------------------------
+# DIMACS text, as parsed and emitted with a Python frame per literal
+# ---------------------------------------------------------------------------
+
+def _ref_clause(*lits: int) -> Clause:
+    c = frozenset(lits)
+    if 0 in c:
+        raise ValueError("0 is not a literal")
+    if any(-x in c for x in c):
+        raise ValueError(f"complementary pair in clause {sorted(c)}")
+    return c
+
+
+def ref_parse_dimacs(text: str) -> tuple[list[Clause], str]:
+    clauses: list[Clause] = []
+    fmt = None
+    nvars = nclauses = 0
+    pending: list[int] = []
+    ints: dict[str, int] = {}  # one int object per distinct token
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        s = raw.strip()
+        if not s or s.startswith("c"):
+            continue
+        if s.startswith("p"):
+            if fmt is not None:
+                raise DimacsError(f"line {lineno}: duplicate problem line")
+            parts = s.split()
+            if len(parts) != 4 or parts[1] not in ("cnf", "dnf"):
+                raise DimacsError(f"line {lineno}: bad problem line {s!r}")
+            fmt = parts[1]
+            try:
+                nvars, nclauses = int(parts[2]), int(parts[3])
+            except ValueError:
+                raise DimacsError(f"line {lineno}: bad counts in {s!r}") from None
+            continue
+        if fmt is None:
+            raise DimacsError(f"line {lineno}: clause before problem line")
+        try:
+            lits = [ints[x] if x in ints else ints.setdefault(x, int(x)) for x in s.split()]
+        except ValueError:
+            raise DimacsError(f"line {lineno}: bad token in {s!r}") from None
+        start = 0  # lits[start:] is not yet part of a clause
+        for _ in range(lits.count(0)):
+            end = lits.index(0, start)
+            try:
+                clauses.append(_ref_clause(*pending, *lits[start:end]))
+            except ValueError as e:
+                raise DimacsError(f"line {lineno}: {e}") from None
+            pending = []
+            start = end + 1
+        pending += lits[start:]
+    if fmt is None:
+        raise DimacsError("missing problem line")
+    if pending:
+        raise DimacsError("trailing literals without closing 0")
+    if len(clauses) != nclauses:
+        raise DimacsError(f"header says {nclauses} clauses, found {len(clauses)}")
+    maxv = max((abs(x) for c in clauses for x in c), default=0)
+    if maxv > nvars:
+        raise DimacsError(f"header says {nvars} variables, found variable {maxv}")
+    return clauses, fmt
+
+
+def ref_emit_dimacs(clauses, fmt: str = "cnf", comments=(), num_vars: int | None = None) -> str:
+    set_like = isinstance(clauses, (set, frozenset))
+    clauses = sorted(clauses, key=clause_key) if set_like else list(clauses)
+    if num_vars is None:
+        num_vars = max((abs(x) for c in clauses for x in c), default=0)
+    lines = [f"c {s}" for s in comments]
+    lines.append(f"p {fmt} {num_vars} {len(clauses)}")
+    for c in clauses:
+        lines.append(" ".join(str(x) for x in sorted(c, key=lambda x: (abs(x), x))) + " 0")
+    return "\n".join(lines) + "\n"

@@ -66,11 +66,16 @@ def test_instance_dimacs_deterministic_and_parsable():
 # sha256 of instance_dimacs for these rows, frozen before the doping builder,
 # the C_V closed form and cant/cantm were merged: the tree labels, doping
 # numbering, selector numbering and clause order stay byte for byte the same.
+# The last three are the paper-table rows of the dimacs-io benchmark, frozen
+# while literals were still sorted by a Python key function per literal.
 PINNED_DIMACS_SHA256 = {
     (2, 7, 1): "766fe396622064f7e4db50f44c7b6b6ae227c0d98649f9920f7fac9fb28e36be",
     (2, 7, 2): "dc8e02848da041be3839018cae76a735d5a1370bee3a7200c44cf875e3f2b792",
     (2, 7, 3): "725a73aca6e98ab79fd66b657c07a6ce03fa081015d1e32ad4931af23ae88f43",
     (3, 5, 2): "c9c2502f712228dac930efe28734335fc4e867d5b7879d8a15a723020f1eae1e",
+    (2, 52, 3): "b3d1698741caeb9abc998462d8c49d0f92c3ca56dc7ad7f522ec195697d860dc",
+    (3, 23, 2): "47906f7da440735f2d174a34a5905aea8018b0e2f5addfbc47879765cec040e0",
+    (3, 23, 1): "534e829044c4bed7f8891f86b0dbb723f4d61425a1d3a7de5c2bddc31f8ee3d8",
 }
 
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repkit as rk
+from helpers import outcome, ref_emit_dimacs, ref_parse_dimacs
 
 
 def test_clause_validation():
@@ -132,6 +133,63 @@ def test_dimacs_errors(bad):
         rk.parse_dimacs(bad)
 
 
+@pytest.mark.parametrize("bad, message", [
+    ("p cnf 2 1\n1 x 0\n", "line 2: bad token in '1 x 0'"),
+    ("p cnf 2 1\n\t1  2.0 0 \n", "line 2: bad token in '1  2.0 0'"),
+    ("p cnf 1 1\n1 0\np cnf 1 1\n", "line 3: duplicate problem line"),
+    ("c x\n  p cnf one 1 \n", "line 2: bad counts in 'p cnf one 1'"),
+    ("p dnf 1 1.0\n", "line 1: bad counts in 'p dnf 1 1.0'"),
+    ("", "missing problem line"),
+    ("c only a comment\n\n", "missing problem line"),
+    ("p cnf 2 1\n1 0\n2\n", "trailing literals without closing 0"),
+    ("p cnf 2 1\n1 0 -2", "trailing literals without closing 0"),
+])
+def test_dimacs_error_messages(bad, message):
+    with pytest.raises(rk.DimacsError) as info:
+        rk.parse_dimacs(bad)
+    assert str(info.value) == message
+
+
+@st.composite
+def dimacs_texts(draw):
+    """DIMACS text laid out in random lines, valid or with one corruption:
+    a dropped 0, a complementary literal, a bad (or unusual but int()-valid)
+    token, a second problem line, or a comment line inside the body."""
+    nv = draw(st.integers(1, 12))
+    cls = draw(st.lists(st.sets(st.integers(1, nv), max_size=4).flatmap(
+        lambda vs: st.tuples(*(st.sampled_from([v, -v]) for v in sorted(vs)))), max_size=8))
+    tokens = [str(x) for c in cls for x in (*c, 0)]
+    header = (f"p {draw(st.sampled_from(['cnf', 'dnf']))} "
+              f"{nv + draw(st.integers(-1, 1))} {len(cls) + draw(st.integers(-1, 0))}")
+    lines = [header]
+    corruption = draw(st.sampled_from(["none", "drop 0", "complement", "token",
+                                       "second p", "comment"]))
+    if tokens and corruption == "drop 0":
+        del tokens[draw(st.sampled_from([i for i, t in enumerate(tokens) if t == "0"]))]
+    elif corruption == "complement" and any(cls):
+        x = draw(st.sampled_from([x for c in cls for x in c]))
+        tokens.insert(tokens.index(str(x)), str(-x))
+    elif corruption == "token":
+        bad = draw(st.sampled_from(["x", "1.5", "--1", "+3", "-0", "1_0", "0x1", "\u0663"]))
+        tokens.insert(draw(st.integers(0, len(tokens))), bad)
+    cuts = sorted(draw(st.sets(st.integers(0, len(tokens)))))
+    sep = draw(st.sampled_from([" ", "  ", "\t"]))
+    lines += [sep.join(tokens[i:j]) for i, j in zip([0] + cuts, cuts + [len(tokens)])]
+    if corruption in ("second p", "comment"):
+        extra = header if corruption == "second p" else \
+            draw(st.sampled_from(["c ", "c", "cnf "])) + sep.join(tokens[:3])
+        lines.insert(draw(st.integers(1, len(lines))), extra)
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
+
+
+@given(dimacs_texts())
+@settings(max_examples=300, deadline=None)
+def test_parse_dimacs_matches_frozen_parser(text):
+    """The same clause list, or the same DimacsError message, as the parser
+    that ran a Python frame per token and per literal."""
+    assert outcome(rk.parse_dimacs, text) == outcome(ref_parse_dimacs, text)
+
+
 @st.composite
 def clause_lists(draw):
     n = draw(st.integers(1, 5))
@@ -181,3 +239,12 @@ def test_dimacs_roundtrip_clause_sets(cs, comments):
     assert fmt == "cnf"
     assert parsed == sorted(cs, key=rk.reductions.clause_key)
     assert rk.parse_dimacs(rk.emit_dimacs(cs, num_vars=10 ** 4))[0] == parsed
+
+
+@given(st.one_of(clause_lists(), dimacs_clause_sets()),
+       st.lists(st.text("abc xyz", max_size=8), max_size=2),
+       st.sampled_from(["cnf", "dnf"]), st.none() | st.integers(0, 10 ** 4))
+@settings(max_examples=200, deadline=None)
+def test_emit_dimacs_matches_frozen_emitter(clauses, comments, fmt, num_vars):
+    assert rk.emit_dimacs(clauses, fmt, comments, num_vars) == \
+        ref_emit_dimacs(clauses, fmt, comments, num_vars)

@@ -11,8 +11,11 @@ Partial assignments are dicts variable -> 0/1.
 literals per clause (Moskewicz et al., "Chaff", DAC 2001).  `solve` runs
 DPLL (Davis, Logemann and Loveland, CACM 1962) on it without recursion,
 pushing decisions and undoing them by trail mark; r_k and r_inf in
-`reductions` run on it too.  `assume` pushes phi_C, forming phi_C * F on F's
-trail until undone (solving under assumptions: Een and Sorensson, SAT 2003).
+`reductions` run on it too.  From k = 3 on, while no open clause has fewer
+than k free literals, r_k probes only the free literals of the open clauses
+with exactly k, since no other probe can fail (see `_Trail._close`).
+`assume` pushes phi_C, forming phi_C * F on F's trail until undone (solving
+under assumptions: Een and Sorensson, SAT 2003).
 """
 
 from __future__ import annotations
@@ -230,19 +233,32 @@ class _Trail:
         after a full round without a failed literal.  A literal that a
         surviving probe of this round put on the trail cannot fail: its own
         probe would reach a sub-assignment of that probe's r_{k-1} fixpoint.
+
+        If every open clause (one without a true literal) has more than k
+        free literals, r_k derives nothing: a probe falsifies at most one
+        literal per clause, so more than k - 1 stay free, and so on down to
+        r_1, which finds no unit clause.  Hence, while no open clause has
+        fewer than k free literals, only the free literals of the open
+        clauses with exactly k can fail.  The other probes are skipped: they
+        would survive and leave nothing on the trail but their own literal,
+        so the same probes fail in the same order.  `_can_fail` rescans the
+        clauses at the start and after each failed literal.  This is done
+        from k = 3 on only: r_2 fails many literals, and the rescan after
+        each costs more than the probes it saves.
         """
         if k < 2:
             return True
         value, trail = self.value, self.trail
         lits = range(2, len(value))      # variable 1 true, 1 false, 2 true, ...
         implied = [0] * len(value)       # round in which a probe reached it
+        can_fail = self._can_fail(k) if k > 2 else None
         rnd = 1
         quiet = i = 0
         while quiet < len(lits):
             x = lits[i]
             i = i + 1 if i + 1 < len(lits) else 0
             quiet += 1
-            if value[x] or implied[x ^ 1] == rnd:
+            if value[x] or implied[x ^ 1] == rnd or can_fail is not None and x not in can_fail:
                 continue
             mark = len(trail)
             if self.push(x ^ 1) and (k == 2 or self._close(k - 1)):
@@ -253,9 +269,30 @@ class _Trail:
             self.undo(mark)
             if not self.push(x):
                 return False
+            if k > 2:
+                can_fail = self._can_fail(k)
             rnd += 1
             quiet = 0
         return True
+
+    def _can_fail(self, k: int) -> set[int] | None:
+        """The free literals of the open clauses with exactly k free
+        literals, or None (any literal may fail) if an open clause has
+        fewer.  A clause longer than k plus the trail keeps more than k."""
+        value = self.value
+        longer = k + len(self.trail)
+        out: set[int] = set()
+        for c in self.clauses:
+            if len(c) > longer:
+                continue
+            vals = [value[lit] for lit in c]
+            free = vals.count(0)
+            if free > k or 1 in vals:
+                continue
+            if free < k:
+                return None
+            out.update(lit for lit in c if not value[lit])
+        return out
 
     def raise_to(self, k: int) -> int | None:
         """Close the trail under r_2, r_3, ..., r_k in turn; the first level

@@ -19,9 +19,12 @@ trail and undo it (only `w_hardness` builds images phi_C * F).  r_1
 (`propagate_units`) is the trail's unit propagation.  From k = 2 on,
 failed literals are probed by push, propagate and pop on the trail (Lynce
 and Marques-Silva, ICTAI 2003), recursing on it for the r_{k-1} test, so no
-probe rebuilds the clause-set.  r_k is confluent, so the trail's final
-assignment applied to F is exactly r_k(F).  r_inf probes each literal once
-on one trail, with the trail's DPLL as the test.
+probe rebuilds the clause-set.  From k = 3 on, while no open clause has
+fewer than k free literals, only the free literals of the open clauses with
+exactly k are probed: any other probe would survive without deriving
+anything, so the same literals fail in the same order.  r_k is confluent,
+so the trail's final assignment applied to F is exactly r_k(F).  r_inf
+probes each literal once on one trail, with the trail's DPLL as the test.
 
 hd and whd are maxima over the falsifying assignments of the prime
 implicates; phd is decided from the same prime implicates, with one r_hd run

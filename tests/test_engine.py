@@ -73,6 +73,16 @@ def test_failed_literal_found_late_enables_an_earlier_one():
     assert rk.reduce_r(f, 2) == ref_reduce_r(f, 2) == rk.clause_set([[3, 4]])
 
 
+def test_r_3_derives_a_literal_of_long_clauses_only():
+    # x1 occurs only in clauses of 4 free literals, yet r_2 refutes <x1 -> 0>
+    # over the binary clauses: any open clause of 2 free literals turns the
+    # probe filter off
+    f = rk.clause_set([[1, 3, 4, 5], [1, 6, 7, 8], [2, -3], [2, -4], [2, -5],
+                       [-2, -6], [-2, -7], [-2, -8]])
+    assert rk.reduce_r(f, 2) == f
+    assert rk.reduce_r(f, 3) == ref_reduce_r(f, 3) == rk.apply_assignment({1: 1}, f)
+
+
 G_INSTANCES = [(2, h, v) for h in range(3, 7) for v in (1, 2, 3)] + [(3, 5, 1)]
 
 
@@ -96,6 +106,92 @@ def test_g_instances_dpll_and_r_inf_equal_reference(k, h, variant):
     f = frozenset(clauses)
     assert_engine_matches_reference(f)
     assert_engine_matches_reference(f - {min(f, key=rk.reductions.clause_key)})
+
+
+# ---------------------------------------------------------------------------
+# r_k from k = 3 on probes only the literals of the shortest open clauses
+# ---------------------------------------------------------------------------
+
+def test_filtered_reduce_r_equals_reference_on_long_clauses(monkeypatch):
+    scans = []
+    can_fail = core._Trail._can_fail
+
+    def spy(t, j):
+        scans.append(can_fail(t, j))
+        return scans[-1]
+
+    monkeypatch.setattr(core._Trail, "_can_fail", spy)
+    rng = random.Random(26)
+    for _ in range(150):
+        nv = rng.randint(4, 9)
+        f = random_clause_set(rng, nv, rng.randint(3 * nv, 10 * nv), maxlen=6, minlen=3)
+        for k in (3, 4):
+            assert rk.reduce_r(f, k) == ref_reduce_r(f, k), (sorted(map(sorted, f)), k)
+    assert sum(c is not None for c in scans) > 500      # scans that left the filter on
+
+
+G1_FILTERED = [(2, 5), (2, 6), (2, 7), (3, 5)]
+
+
+@pytest.mark.parametrize("k,h", G1_FILTERED)
+def test_filtered_reduce_r_equals_reference_on_g1(monkeypatch, k, h):
+    f = frozenset(bench.generate(bench.InstanceSpec(k, h, 1))[0])
+    g = f - {min(f, key=rk.reductions.clause_key)}
+    for x in (f, g):
+        for j in (3, 4):
+            if (k, x, j) == (3, g, 4):
+                # the reference takes 20 s here; compare with probing every literal
+                with monkeypatch.context() as m:
+                    m.setattr(core._Trail, "_can_fail", lambda t, j: None)
+                    want = rk.reduce_r(x, j)
+            else:
+                want = ref_reduce_r(x, j)
+            assert rk.reduce_r(x, j) == want, (x == f, j)
+
+
+@pytest.mark.parametrize("k,h", [(2, 12), (2, 22), (3, 6)])
+def test_g1_refutation_level_is_the_closed_form(k, h):
+    spec = bench.InstanceSpec(k, h, 1)
+    f = frozenset(bench.generate(spec)[0])
+    assert rk.refutation_level(f) == bench.stats(spec).hardness == k + 1
+
+
+@pytest.mark.parametrize("k,h,variant,closures", [
+    (2, 22, 1, {2: 43, 3: 1}),     # 443 r_2 closures when every literal is probed
+    (3, 5, 1, {2: 113, 3: 17, 4: 1}),
+    (2, 7, 2, {2: 1}),
+])
+def test_refutation_level_closures_per_level(monkeypatch, k, h, variant, closures):
+    counted: dict[int, int] = {}
+    close = core._Trail._close
+
+    def spy(t, j):
+        counted[j] = counted.get(j, 0) + 1
+        return close(t, j)
+
+    monkeypatch.setattr(core._Trail, "_close", spy)
+    f = frozenset(bench.generate(bench.InstanceSpec(k, h, variant))[0])
+    rk.refutation_level(f)
+    assert counted == closures
+
+
+@st.composite
+def long_clause_sets(draw):
+    """(F, k) with every clause of F longer than k."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(k + 1, 7))
+    cls = draw(st.lists(
+        st.sets(st.integers(1, n), min_size=k + 1, max_size=n).flatmap(
+            lambda vs: st.tuples(*(st.sampled_from([v, -v]) for v in sorted(vs)))),
+        max_size=14))
+    return rk.clause_set(cls), k
+
+
+@given(long_clause_sets())
+@settings(max_examples=200, deadline=None)
+def test_r_k_derives_nothing_when_every_clause_is_longer_than_k(fk):
+    f, k = fk
+    assert rk.reduce_r(f, k) == ref_reduce_r(f, k) == f
 
 
 @st.composite

@@ -17,7 +17,7 @@ from .reductions import (
     HardnessReport, essential_prime_implicates, hardness, p_hardness,
     prime_implicates, prime_implicates_bruteforce, propagate_units, reduce_r,
     reduce_r_inf, refutation_level, relative_hardness, split_hardness_bound,
-    substitute, w_hardness, w_refutation_level,
+    substitute, unsat_level, w_hardness, w_refutation_level,
 )
 from .mps import (
     DopedClauseSet, MpsWitness, dope, has_max_prime_implicates, is_mps,

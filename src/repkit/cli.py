@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -191,7 +192,10 @@ def cmd_verify(args) -> int:
     return 0 if report["ok"] else 1
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for later calls of
+    `main` in the same process."""
     ap = argparse.ArgumentParser(prog="repkit", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="cmd", required=True)
@@ -256,7 +260,11 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--variant", type=int, required=True)
     p.add_argument("--level", default="formulas", choices=["formulas", "hardness"])
     p.set_defaults(fn=cmd_verify)
+    return ap
 
+
+def main(argv: list[str] | None = None) -> int:
+    ap = _parser()
     args = ap.parse_args(argv)
     if args.cmd == "stats" and not args.table and (args.k is None or args.h is None):
         ap.error("stats needs --table or both --k and --h")

@@ -294,12 +294,13 @@ class _Trail:
             out.update(lit for lit in c if not value[lit])
         return out
 
-    def raise_to(self, k: int) -> int | None:
-        """Close the trail under r_2, r_3, ..., r_k in turn; the first level
-        that refutes F (1 when r_1 already does), or None."""
+    def raise_to(self, k: int, start: int = 2) -> int | None:
+        """Close the trail under r_start, ..., r_k in turn; the first level
+        that refutes F (1 when r_1 already does), or None.  A start above 2
+        needs the trail at its r_{start-1} fixpoint."""
         if self.refuted:
             return 1
-        for j in range(2, k + 1):
+        for j in range(start, k + 1):
             if not self._close(j):
                 return j
         return None

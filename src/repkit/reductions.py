@@ -25,6 +25,9 @@ exactly k are probed: any other probe would survive without deriving
 anything, so the same literals fail in the same order.  r_k is confluent,
 so the trail's final assignment applied to F is exactly r_k(F).  r_inf
 probes each literal once on one trail, with the trail's DPLL as the test.
+`unsat_level` decides satisfiability and hd together: an r_j refutation
+proves F unsatisfiable, and DPLL runs on the same trail only if r_j leaves
+it open.
 
 hd and whd are maxima over the falsifying assignments of the prime
 implicates; phd is decided from the same prime implicates, with one r_hd run
@@ -50,7 +53,7 @@ from operator import and_
 from .core import (
     Assignment, BOT, BOT_SET, Clause, ClauseSet, SizeLimitExceeded, _Trail,
     apply_assignment, clause_key, entails, falsifying_assignment,
-    is_satisfiable, total_assignments, variables,
+    total_assignments, variables,
 )
 
 
@@ -101,11 +104,29 @@ def reduce_r_inf(f: ClauseSet) -> ClauseSet:
 def refutation_level(f: ClauseSet) -> int:
     """hd(F) for unsatisfiable F: minimal k with r_k(F) = {bot}.
 
-    One trail is raised level by level, each fixpoint starting the next.
+    One trail is raised level by level, each fixpoint starting the next; if
+    r_2 leaves it open, one DPLL run there first rules out a satisfiable F.
     """
-    level = _hd_level(f, _Trail(f))(BOT)
+    level = unsat_level(f)
     if level is None:
         raise ValueError("refutation_level requires an unsatisfiable clause-set")
+    return level
+
+
+def unsat_level(f: ClauseSet, j: int = 2) -> int | None:
+    """hd(F) for unsatisfiable F, None for satisfiable F.
+
+    One trail of F is closed under r_2, ..., r_j.  A refutation there is the
+    proof that F is unsatisfiable, and its level is hd(F).  Only if the trail
+    is still open does DPLL (`_Trail.model`) run on it, at that fixpoint: a
+    model means satisfiable, and otherwise the climb goes on from r_{j+1}.
+    """
+    if BOT in f:
+        return 0
+    t = _Trail(f)
+    level = t.raise_to(j)
+    if level is None and t.model() is None:
+        level = t.raise_to(len(t.vars), start=j + 1)
     return level
 
 
@@ -234,8 +255,9 @@ def relative_hardness(f: ClauseSet, vs: frozenset[int] | set[int]) -> int:
         if (i, g) in seen:
             return
         seen.add((i, g))
-        if not is_satisfiable(g):
-            best[0] = max(best[0], refutation_level(g))
+        level = unsat_level(g)
+        if level is not None:
+            best[0] = max(best[0], level)
             return
         for j in range(i, len(order)):
             v = order[j]

@@ -9,6 +9,8 @@ replaced; they rebuild the clause-set where the library uses its trail,
 hold clauses (and trigger hyperedges) as frozensets where the library uses
 bitmasks, and read and write DIMACS text with a Python frame per literal
 where the library maps builtins over whole lines and clauses.
+`ref_verify` decides satisfiability by DPLL before it climbs r_2, r_3, ...
+where the library lets an r_k refutation prove unsatisfiability.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ from repkit import (
     inner_count, is_satisfiable, leaf_count, literals, prime_implicates, pure_clause,
     reduce_r, refutation_level, variables, w_refutation_level,
 )
+from repkit import bench
+from repkit.core import _Trail
 from repkit.reductions import clause_key
 
 
@@ -801,3 +805,32 @@ def ref_emit_dimacs(clauses, fmt: str = "cnf", comments=(), num_vars: int | None
     for c in clauses:
         lines.append(" ".join(str(x) for x in sorted(c, key=lambda x: (abs(x), x))) + " 0")
     return "\n".join(lines) + "\n"
+
+
+# Frozen reference verify: DPLL (is_satisfiable) first, then, for an
+# unsatisfiable F, one trail of F climbed from r_2 up to r_n.  Reads
+# bench.stats and bench.generate at call time, so monkeypatching them
+# changes both this and bench.verify.
+def ref_verify(spec, level: str = "formulas") -> dict:
+    rec = bench.stats(spec)
+    clauses, n = bench.generate(spec)
+    report = {
+        "instance": spec.name,
+        "n": (n, rec.n),
+        "c": (len(clauses), rec.c),
+        "l": (sum(len(c) for c in clauses), rec.l),
+        "distinct": len(set(clauses)) == len(clauses),
+    }
+    report["ok"] = (report["distinct"]
+                    and all(got == want for got, want in
+                            (report["n"], report["c"], report["l"])))
+    if level == "hardness":
+        f = frozenset(clauses)
+        unsat = not is_satisfiable(f)
+        report["unsatisfiable"] = unsat
+        lvl = None
+        if unsat:
+            lvl = 0 if BOT in f else _Trail(f).raise_to(len(variables(f)))
+        report["hardness"] = (lvl, rec.hardness)
+        report["ok"] = report["ok"] and unsat and lvl == rec.hardness
+    return report

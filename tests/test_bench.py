@@ -1,11 +1,12 @@
+import dataclasses
 import hashlib
 import json
 
 import pytest
 
 import repkit as rk
-from repkit import bench, cli
-from helpers import REFERENCE_TABLE, REFERENCE_ALPHA, ref_leaf_depth_sum
+from repkit import bench, cli, core
+from helpers import REFERENCE_TABLE, REFERENCE_ALPHA, ref_leaf_depth_sum, ref_verify
 
 
 def test_stats_against_frozen_table():
@@ -107,6 +108,78 @@ def test_verify_levels():
     assert rep["ok"]
     rep = bench.verify(bench.InstanceSpec(2, 3, 2), "hardness")
     assert rep["ok"] and rep["hardness"] == (2, 2)
+
+
+#: The family-hardness rungs of perfbench, G1_k2_h12 and G1_k3_h6.
+VERIFIED_SPECS = ([(k, h, v) for v in (1, 2, 3) for k, h in ((2, 5), (2, 6), (2, 7), (3, 5))]
+                  + [(2, 12, 1), (3, 6, 1)])
+
+
+def assert_verify_matches_reference(spec):
+    rep = bench.verify(spec, "hardness")
+    assert json.dumps(rep, indent=2) == json.dumps(ref_verify(spec, "hardness"), indent=2)
+    return rep
+
+
+@pytest.mark.parametrize("k,h,variant", VERIFIED_SPECS)
+def test_verify_equals_the_dpll_first_reference(k, h, variant):
+    rep = assert_verify_matches_reference(bench.InstanceSpec(k, h, variant))
+    assert rep["ok"] is True
+
+
+def test_verify_runs_no_dpll_when_the_claim_holds(monkeypatch):
+    calls = []
+    model = core._Trail.model
+
+    def spy(t, *args):
+        calls.append(len(t.trail))
+        return model(t, *args)
+
+    monkeypatch.setattr(core._Trail, "model", spy)
+    for k, h, variant in VERIFIED_SPECS:
+        assert bench.verify(bench.InstanceSpec(k, h, variant), "hardness")["ok"] is True
+    assert calls == []
+
+
+def claim(monkeypatch, delta):
+    """Make bench.stats claim the hardness plus delta."""
+    stats = bench.stats
+
+    def claimed(spec):
+        rec = stats(spec)
+        return dataclasses.replace(rec, hardness=rec.hardness + delta)
+
+    monkeypatch.setattr(bench, "stats", claimed)
+
+
+def test_verify_climbs_past_a_claim_that_is_too_low(monkeypatch):
+    claim(monkeypatch, -1)
+    for k, h in [(2, 5), (3, 5), (2, 12)]:
+        rep = assert_verify_matches_reference(bench.InstanceSpec(k, h, 1))
+        assert rep["unsatisfiable"] is True and rep["hardness"] == (k + 1, k)
+        assert rep["ok"] is False
+
+
+def test_verify_reports_a_level_below_a_claim_that_is_too_high(monkeypatch):
+    claim(monkeypatch, 1)
+    for k, h, variant, hd in [(2, 5, 1, 3), (2, 7, 2, 2), (3, 5, 3, 2)]:
+        rep = assert_verify_matches_reference(bench.InstanceSpec(k, h, variant))
+        assert rep["unsatisfiable"] is True and rep["hardness"] == (hd, hd + 1)
+        assert rep["ok"] is False
+
+
+def test_verify_on_a_satisfiable_instance(monkeypatch):
+    generate = bench.generate
+
+    def less_one_clause(spec):
+        clauses, n = generate(spec)
+        return clauses[:-1], n
+
+    monkeypatch.setattr(bench, "generate", less_one_clause)
+    for k, h in [(2, 5), (3, 5)]:
+        rep = assert_verify_matches_reference(bench.InstanceSpec(k, h, 1))
+        assert rep["unsatisfiable"] is False and rep["hardness"] == (None, k + 1)
+        assert rep["ok"] is False
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +387,56 @@ def run_cli_err(capsys, *args):
     captured = capsys.readouterr()
     assert captured.out == ""
     return rc, captured.err
+
+
+def test_cli_hd_unsat_on_a_satisfiable_doped_tree_stops_at_r_2(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "t7.cnf"
+    rc, _ = run_cli(capsys, "tree", "--k", "2", "--h", "3", "--emit", "doped", "-o", str(path))
+    assert rc == 0
+    closures = []
+    close = core._Trail._close
+
+    def spy(t, j):
+        closures.append(j)
+        assert j == 2, "climbed past r_2 on a satisfiable clause-set"
+        return close(t, j)
+
+    monkeypatch.setattr(core._Trail, "_close", spy)
+    rc, err = run_cli_err(capsys, "analyze", str(path), "--measure", "hd-unsat")
+    assert rc == 5 and err == "repkit: refutation_level requires an unsatisfiable clause-set\n"
+    assert closures == [2]           # r_2, then one DPLL run finds a model: no climb to r_13
+
+
+def test_cli_calls_in_one_process_are_independent(tmp_path, capsys):
+    path = tmp_path / "g.cnf"
+    path.write_text(rk.instance_dimacs(bench.InstanceSpec(2, 3, 1)))
+    calls = [("tree", "--k", "2", "--h", "2", "--emit", "dot"),
+             ("tree", "--k", "2", "--h", "2"),
+             ("analyze", str(path), "--measure", "hd-unsat"),
+             ("verify", "--k", "2", "--h", "3", "--variant", "2"),
+             ("stats", "--k", "2", "--h", "5", "--json")]
+    alone = []
+    for args in calls:
+        cli._parser.cache_clear()
+        alone.append(run_cli(capsys, *args))
+    assert [rc for rc, _ in alone] == [0] * len(calls)
+    assert cli._parser() is cli._parser()
+    for args, want in list(zip(calls, alone)) * 2:
+        assert run_cli(capsys, *args) == want, args
+
+
+@pytest.mark.parametrize("args", [
+    ("stats", "--k", "2"),
+    ("translate", "--mode", "xor"),
+    ("analyze", "f.cnf", "--measure", "nope"),
+    ("verify", "--k", "2", "--h", "3"),
+])
+def test_cli_argument_errors_exit_2_after_a_successful_call(capsys, args):
+    assert run_cli(capsys, "stats", "--k", "2", "--h", "5")[0] == 0
+    with pytest.raises(SystemExit) as e:
+        cli.main(list(args))
+    assert e.value.code == 2 and capsys.readouterr().err.startswith("usage: repkit")
+    assert run_cli(capsys, "stats", "--k", "2", "--h", "5")[0] == 0
 
 
 def test_cli_errors_are_one_line_with_distinct_codes(tmp_path, capsys):

@@ -14,8 +14,8 @@ import itertools
 from dataclasses import dataclass, field
 
 from .core import (
-    Clause, ClauseSet, SizeLimitExceeded, apply_clauses, clause_key, entails,
-    falsifying_assignment, is_satisfiable, literals, variables,
+    Clause, ClauseSet, SizeLimitExceeded, clause_key, entails, is_satisfiable,
+    literals, variables,
 )
 from .reductions import prime_implicates
 
@@ -71,9 +71,12 @@ class MpsWitness:
 
 
 def _puc_image(f: ClauseSet) -> ClauseSet | None:
-    """phi_{puc(F)} * F; None if F is empty or two premises collapse."""
-    imgs = apply_clauses(falsifying_assignment(pure_clause(f)), f)
-    return frozenset(imgs) if f and len(set(imgs)) == len(imgs) else None
+    """phi_{puc(F)} * F; None if F is empty or two premises collapse.  The
+    complement of a pure literal never occurs in F, so phi_{puc(F)} satisfies
+    no clause and only takes puc(F) out of each."""
+    p = pure_clause(f)
+    img = {c - p for c in f}
+    return frozenset(img) if f and len(img) == len(f) else None
 
 
 def is_mps(f: ClauseSet) -> MpsWitness | None:

@@ -14,8 +14,10 @@ Literal scans run in a fixed order (ascending variable, positive literal
 first), so results are reproducible; verdicts are order-independent anyway.
 
 Every r_k with k >= 1 runs on the propagation engine `core._Trail`, one per
-call, also of `hardness` and `p_hardness`, which push each phi_C onto F's
-trail and undo it (only `w_hardness` builds images phi_C * F).  r_1
+call, also of `hardness`, `p_hardness` and `relative_hardness`, which push
+each phi_C onto F's trail and undo it.  Images phi * F are built only by
+`w_hardness` and `split_hardness_bound` here, and by `_Trail.image` and
+`models` in `core`.  r_1
 (`propagate_units`) is the trail's unit propagation.  From k = 2 on,
 failed literals are probed by push, propagate and pop on the trail (Lynce
 and Marques-Silva, ICTAI 2003), recursing on it for the r_{k-1} test, so no
@@ -30,9 +32,10 @@ proves F unsatisfiable, and DPLL runs on the same trail only if r_j leaves
 it open.
 
 hd and whd are maxima over the falsifying assignments of the prime
-implicates; phd is decided from the same prime implicates, with one r_hd run
-per (implicate, literal) pair instead of a walk over all instantiation
-images.  The module keeps no memo between calls.
+implicates, and hd^V over those of the prime implicates on V; phd is decided
+from the same prime implicates, with one r_hd run per (implicate, literal)
+pair instead of a walk over all instantiation images.  The module keeps no
+memo between calls.
 
 Prime implicates (no width bound) and whd (width k = 1, 2, ... in turn) run
 one resolution-saturation kernel, `_saturate`.  It holds each clause as an
@@ -246,26 +249,21 @@ def p_hardness(f: ClauseSet, max_vars: int = 14) -> HardnessReport:
 
 
 def relative_hardness(f: ClauseSet, vs: frozenset[int] | set[int]) -> int:
-    """hd^V(F): hardness quantified only over assignments with variables in V."""
-    order = sorted(set(vs))
-    best = [0]
-    seen: set[tuple[int, ClauseSet]] = set()
+    """hd^V(F): hardness quantified only over assignments with variables in V.
 
-    def go(g: ClauseSet, i: int) -> None:
-        if (i, g) in seen:
-            return
-        seen.add((i, g))
-        level = unsat_level(g)
-        if level is not None:
-            best[0] = max(best[0], level)
-            return
-        for j in range(i, len(order)):
-            v = order[j]
-            for val in (0, 1):
-                go(apply_assignment({v: val}, g), j + 1)
-
-    go(f, 0)
-    return best[0]
+    The maximum over phi with var(phi) <= V is reached at a minimal
+    unsatisfiable instance phi * F, since hd never grows under instantiation,
+    and each of those is phi_C for a prime implicate C with var(C) <= V.  So
+    this is `hardness` with every other prime implicate counting 0.  Like
+    `hardness`, it is bounded where a walk over the images phi * F is not:
+    it raises SizeLimitExceeded once the prime implicates take more than
+    10^6 resolvents.
+    """
+    vs = frozenset(vs)
+    t = _Trail(f)
+    hd = _hd_level(f, t)
+    return _max_over_prime_implicates(
+        f, t, "hd", lambda c: hd(c) if variables(c) <= vs else 0)[0].value
 
 
 def split_hardness_bound(f: ClauseSet, vs: frozenset[int] | set[int]) -> int:
@@ -390,8 +388,11 @@ def essential_prime_implicates(f: ClauseSet, max_clauses: int = 10 ** 6) -> Clau
     least this many clauses.
     """
     prime = prime_implicates(f, max_clauses)
-    if prime == BOT_SET:
-        return prime
+    return prime if prime == BOT_SET else _essential(prime)
+
+
+def _essential(prime: ClauseSet) -> ClauseSet:
+    """The clauses C of the prime implicates P with P - {C} not entailing C."""
     return frozenset(c for c in prime if not entails(prime - {c}, c))
 
 

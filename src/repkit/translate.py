@@ -14,12 +14,11 @@ import itertools
 from dataclasses import dataclass
 
 from .core import (
-    BOT, BOT_SET, Clause, ClauseSet, SizeLimitExceeded, _Trail,
-    apply_assignment, clause, clause_key, complement, entails, is_satisfiable,
-    total_assignments, variables,
+    Assignment, BOT, BOT_SET, Clause, ClauseSet, SizeLimitExceeded, _Trail,
+    clause, clause_key, complement, is_satisfiable, total_assignments, variables,
 )
 from .mps import DopedClauseSet
-from .reductions import _level_under
+from .reductions import _essential, _level_under
 
 
 @dataclass
@@ -149,7 +148,7 @@ def k_base(prime: ClauseSet, k: int) -> ClauseSet:
     possible.  Raises ValueError if even the full set exceeds hardness k.
     """
     order = sorted(prime, key=clause_key)
-    necessary = {c for c in order if not entails(prime - {c}, c)}
+    necessary = _essential(prime)
     f = set(necessary)
 
     def ok(g: set[Clause]) -> bool:
@@ -197,34 +196,22 @@ def extension_property(fp: ClauseSet, original_vars, dnf=None,
     if n > max_vars:
         raise SizeLimitExceeded("extension_property enumeration too large",
                                 budget="variables", limit=max_vars, progress=n)
-    uep = True
-    for phi in total_assignments(orig):
-        g = apply_assignment(phi, fp)
-        if BOT in g:
-            continue
-        n_ext = sum(1 for psi in total_assignments(aux)
-                    if not apply_assignment(psi, g))
-        if n_ext > 1:
-            uep = False
-            break
-    strong = uep and dnf is not None
-    if strong:
+
+    def extensions(phi: Assignment) -> int:
+        """The number of total psi on the new variables with phi + psi making
+        a literal of every clause of fp true."""
+        n_ext = 0
+        for psi in total_assignments(aux):
+            true = {v if b else -v for v, b in {**phi, **psi}.items()}
+            n_ext += all(not true.isdisjoint(c) for c in fp)
+        return n_ext
+
+    uep = all(extensions(phi) <= 1 for phi in total_assignments(orig))
+    if uep and dnf is not None:
         order = _dnf_order(dnf)
-        for alloc in itertools.product((None, 0, 1), repeat=len(orig)):
-            phi = {v: b for v, b in zip(orig, alloc) if b is not None}
-            if not any(all((x > 0) == bool(phi.get(abs(x))) and abs(x) in phi
-                           for x in c) for c in order):
-                continue  # phi satisfies no DNF clause
-            n_ext = 0
-            for psi in total_assignments(aux):
-                img = apply_assignment({**phi, **psi}, fp)
-                if not img:          # every clause of fp satisfied outright
-                    n_ext += 1
-            if n_ext != 1:
-                strong = False
-                break
-    if strong:
-        return "strong_uep"
-    if uep:
-        return "uep"
-    return "none"
+        partial = ({v: b for v, b in zip(orig, alloc) if b is not None}
+                   for alloc in itertools.product((None, 0, 1), repeat=len(orig)))
+        if all(extensions(phi) == 1 for phi in partial
+               if any(all(phi.get(abs(x)) == (x > 0) for x in c) for c in order)):
+            return "strong_uep"
+    return "uep" if uep else "none"

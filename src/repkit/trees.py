@@ -17,9 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .core import (
-    BOT, BOT_SET, Clause, ClauseSet, apply_assignment, variables,
-)
+from .core import Clause, ClauseSet
 from .mps import DopedClauseSet, _doped
 
 
@@ -150,22 +148,28 @@ def smuo(t: Tree) -> ClauseSet:
 
 def tsmuo(f: ClauseSet) -> Tree:
     """The labelled tree T with smuo(T) = F; raises NotSmu1Error otherwise.
-    T is built top-down on an explicit stack, left subtree first."""
+    T is built top-down on an explicit stack, left subtree first.  A node
+    keeps the clauses of F below it, which all hold its path's literals; its
+    label is the least variable off the path in all of them (so in the
+    shortest), and they are split by its sign.  No clause-set is rebuilt."""
     labels: list[int | None] = []  # in pre-order
-    stack = [(f, len(variables(f)))]
+    path: list[int] = []  # the labels from the root down
+    stack = [(list(f), 0)]  # (clauses of F below a node, its depth)
     while stack:
-        g, fuel = stack.pop()
-        if g == BOT_SET:
+        cs, d = stack.pop()
+        del path[d:]
+        if len(cs) == 1 and len(cs[0]) == d:  # the path is the whole clause
             labels.append(None)
             continue
-        if not g or BOT in g or fuel < 0:
+        if not cs or any(len(c) == d for c in cs):
             raise NotSmu1Error("clause-set is not of the smuo form")
-        common = set.intersection(*(set(abs(x) for x in c) for c in g))
-        if not common:
+        off_path = sorted({abs(x) for x in min(cs, key=len)}.difference(path))
+        v = next((v for v in off_path if all(v in c or -v in c for c in cs)), None)
+        if v is None:
             raise NotSmu1Error("no variable occurs in every clause")
-        v = min(common)
         labels.append(v)
-        stack += ((apply_assignment({v: 1}, g), fuel - 1), (apply_assignment({v: 0}, g), fuel - 1))
+        path.append(v)
+        stack += (([c for c in cs if v not in c], d + 1), ([c for c in cs if -v not in c], d + 1))
     t = _fold(labels, lambda i: LEAF, node)
     if smuo(t) != f:
         raise NotSmu1Error("clause-set is not of the smuo form")

@@ -23,12 +23,13 @@ from functools import lru_cache
 
 from repkit import (
     BOT, BOT_SET, Clause, ClauseSet, DimacsError, HardnessReport, LEAF, NotSmu1Error, SizeLimitExceeded,
-    Tree, TriggerHypergraph, alpha, apply_assignment, falsifying_assignment, hardness,
-    inner_count, is_satisfiable, leaf_count, literals, prime_implicates, pure_clause,
-    reduce_r, refutation_level, variables, w_refutation_level,
+    Tree, TriggerHypergraph, alpha, apply_assignment, apply_clauses, falsifying_assignment,
+    hardness, inner_count, is_satisfiable, leaf_count, literals, node, prime_implicates,
+    pure_clause, reduce_r, refutation_level, smuo, unsat_level, variables,
+    w_refutation_level,
 )
-from repkit import bench
-from repkit.core import _Trail
+from repkit import bench, translate, trees
+from repkit.core import _Trail, total_assignments
 from repkit.reductions import clause_key
 
 
@@ -834,3 +835,115 @@ def ref_verify(spec, level: str = "formulas") -> dict:
         report["hardness"] = (lvl, rec.hardness)
         report["ok"] = report["ok"] and unsat and lvl == rec.hardness
     return report
+
+
+# Frozen references of the searches that rebuilt clause-set images before
+# relative_hardness ran over the prime implicates, tsmuo split the input's
+# own clauses by sign, extension_property counted models literal by literal
+# and _puc_image dropped the pure literals directly.
+def ref_relative_hardness(f: ClauseSet, vs) -> int:
+    order = sorted(set(vs))
+    best = [0]
+    seen: set[tuple[int, ClauseSet]] = set()
+
+    def go(g: ClauseSet, i: int) -> None:
+        if (i, g) in seen:
+            return
+        seen.add((i, g))
+        level = unsat_level(g)
+        if level is not None:
+            best[0] = max(best[0], level)
+            return
+        for j in range(i, len(order)):
+            v = order[j]
+            for val in (0, 1):
+                go(apply_assignment({v: val}, g), j + 1)
+
+    go(f, 0)
+    return best[0]
+
+
+def ref_tsmuo(f: ClauseSet) -> Tree:
+    labels: list[int | None] = []
+    stack = [(f, len(variables(f)))]
+    while stack:
+        g, fuel = stack.pop()
+        if g == BOT_SET:
+            labels.append(None)
+            continue
+        if not g or BOT in g or fuel < 0:
+            raise NotSmu1Error("clause-set is not of the smuo form")
+        common = set.intersection(*(set(abs(x) for x in c) for c in g))
+        if not common:
+            raise NotSmu1Error("no variable occurs in every clause")
+        v = min(common)
+        labels.append(v)
+        stack += ((apply_assignment({v: 1}, g), fuel - 1), (apply_assignment({v: 0}, g), fuel - 1))
+    t = trees._fold(labels, lambda i: LEAF, node)
+    if smuo(t) != f:
+        raise NotSmu1Error("clause-set is not of the smuo form")
+    return t
+
+
+def ref_extension_property(fp: ClauseSet, original_vars, dnf=None,
+                           max_vars: int = 18) -> str:
+    orig = sorted(set(original_vars))
+    aux = sorted(variables(fp) - set(orig))
+    n = len(orig) + len(aux)
+    if n > max_vars:
+        raise SizeLimitExceeded("extension_property enumeration too large",
+                                budget="variables", limit=max_vars, progress=n)
+    uep = True
+    for phi in total_assignments(orig):
+        g = apply_assignment(phi, fp)
+        if BOT in g:
+            continue
+        n_ext = sum(1 for psi in total_assignments(aux)
+                    if not apply_assignment(psi, g))
+        if n_ext > 1:
+            uep = False
+            break
+    strong = uep and dnf is not None
+    if strong:
+        order = translate._dnf_order(dnf)
+        for alloc in itertools.product((None, 0, 1), repeat=len(orig)):
+            phi = {v: b for v, b in zip(orig, alloc) if b is not None}
+            if not any(all((x > 0) == bool(phi.get(abs(x))) and abs(x) in phi
+                           for x in c) for c in order):
+                continue
+            n_ext = 0
+            for psi in total_assignments(aux):
+                img = apply_assignment({**phi, **psi}, fp)
+                if not img:
+                    n_ext += 1
+            if n_ext != 1:
+                strong = False
+                break
+    if strong:
+        return "strong_uep"
+    if uep:
+        return "uep"
+    return "none"
+
+
+def ref_puc_image(f: ClauseSet) -> ClauseSet | None:
+    imgs = apply_clauses(falsifying_assignment(pure_clause(f)), f)
+    return frozenset(imgs) if f and len(set(imgs)) == len(imgs) else None
+
+
+def ref_is_mps(f: ClauseSet) -> bool:
+    """is_mps(F) is not None, on ref_puc_image."""
+    g = ref_puc_image(f)
+    return not (g is None or is_satisfiable(g) or not all(is_satisfiable(g - {c}) for c in g))
+
+
+def ref_is_total_mps(f: ClauseSet) -> bool:
+    """is_total_mps on ref_puc_image and ref_tsmuo."""
+    g = ref_puc_image(f)
+    if g is None:
+        return False
+    try:
+        ref_tsmuo(g)
+    except NotSmu1Error:
+        return False
+    return True

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import repkit as rk
 from repkit import bench
-from repkit import core, reductions, translate
+from repkit import core, mps, reductions, translate, trees
 from helpers import (
     all_shapes, outcome as outcome_or_error, random_clause_set, ref_image_entails,
     ref_image_hardness, ref_image_k_base, ref_image_p_hardness,
@@ -291,10 +291,18 @@ def test_instances_build_no_clause_set_images(monkeypatch):
     def refuse(phi, f):
         raise AssertionError("an instance was rebuilt with apply_assignment")
 
-    for module in (core, reductions, translate):
-        monkeypatch.setattr(module, "apply_assignment", refuse)
+    # raising=False: trees, translate and mps no longer import the name at all
+    for module in (core, reductions, translate, trees, mps):
+        monkeypatch.setattr(module, "apply_assignment", refuse, raising=False)
     f = rk.doped_tree(rk.extremal_tree(2, 3)).clauses
     assert (rk.hardness(f).value, rk.p_hardness(f).value) == (2, 3)
     assert rk.k_base(rk.prime_implicates(f), 2) <= rk.prime_implicates(f)
     assert rk.entails(f, max(f, key=core.clause_key))
     assert rk.prime_implicates_bounded(f, 2)
+    assert rk.relative_hardness(f, rk.variables(f)) == 2
+    assert rk.essential_prime_implicates(f) == f  # each clause owns its doping variable
+    assert rk.is_total_mps(f)
+    t = rk.extremal_tree(2, 3)
+    assert rk.tsmuo(rk.smuo(t)) == t
+    dnf = [rk.clause(1, 2), rk.clause(-1, 3)]
+    assert rk.extension_property(rk.cant(dnf).clauses, {1, 2, 3}, dnf=dnf) == "strong_uep"

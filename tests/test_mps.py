@@ -1,7 +1,9 @@
+import itertools
 import random
 
 import repkit as rk
-from helpers import random_clause_set
+from repkit import mps
+from helpers import outcome, random_clause_set, ref_is_mps, ref_is_total_mps, ref_puc_image
 
 
 def gn(n: int) -> rk.ClauseSet:
@@ -113,3 +115,22 @@ def test_prime_implicates_bounded():
         assert rk.prime_implicates_bounded(f, len(f)) == full
         for c in rk.prime_implicates_bounded(f, 1):
             assert rk.entails(f, c)
+
+
+def test_is_mps_and_is_total_mps_match_the_image_route():
+    rng = random.Random(105)  # the corpus of acceptance criterion 5
+    corpus = []
+    while len(corpus) < 100:
+        f = random_clause_set(rng, rng.randint(2, 5), rng.randint(1, 8))
+        if len(f) <= 8:
+            corpus.append(f)
+    totals = 0
+    for f in corpus:  # every subset that mps_subsets_direct tests
+        for r in range(len(f) + 1):
+            for sub in map(frozenset, itertools.combinations(f, r)):
+                assert mps._puc_image(sub) == ref_puc_image(sub)
+                assert (rk.is_mps(sub) is not None) == ref_is_mps(sub)
+                total = outcome(rk.is_total_mps, sub)
+                assert total == outcome(ref_is_total_mps, sub)
+                totals += total is True
+    assert totals

@@ -11,7 +11,9 @@ from helpers import (
     random_clause_set,
     hd_by_assignment_enumeration,
     phd_by_definition,
+    random_dnf,
     ref_p_hardness,
+    ref_relative_hardness,
     ref_saturate,
     whd_by_closure,
 )
@@ -341,6 +343,26 @@ def test_relative_hardness_bounds():
         assert rk.relative_hardness(f, vs) <= rk.hardness(f).value
         if rk.is_satisfiable(f):
             assert rk.relative_hardness(f, set()) == 0
+
+
+def test_relative_hardness_matches_the_image_walk():
+    rng = random.Random(181)
+    for _ in range(600):
+        nv = rng.randint(1, 6)
+        f = random_clause_set(rng, nv, rng.randint(0, 9), rng.randint(1, 4))
+        # V may be empty, and may reach past var(F)
+        vs = set(rng.sample(range(1, nv + 3), rng.randint(0, nv + 2)))
+        assert outcome(rk.relative_hardness, f, vs) == outcome(ref_relative_hardness, f, vs), \
+            (sorted(map(sorted, f)), vs)
+    rng = random.Random(106)  # the cant instances of acceptance criterion 6
+    checked = 0
+    while checked < 200:
+        nv = rng.randint(2, 6)
+        g = random_dnf(rng, nv, rng.randint(1, 12 - nv))
+        if g:
+            f, vs = rk.cant(g).clauses, {abs(x) for c in g for x in c}
+            assert rk.relative_hardness(f, vs) == ref_relative_hardness(f, vs), g
+            checked += 1
 
 
 def test_split_hardness_bound():

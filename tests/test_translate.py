@@ -4,7 +4,7 @@ import random
 import pytest
 
 import repkit as rk
-from helpers import random_dnf, ref_refutation_level
+from helpers import outcome, random_dnf, ref_extension_property, ref_refutation_level
 
 
 def dnf_models(dnf, vs):
@@ -179,3 +179,20 @@ def test_extension_property():
     res = rk.cant(dnf)
     assert rk.extension_property(res.clauses, rk.variables(d.clauses),
                                  dnf=dnf) == "strong_uep"
+
+
+def test_extension_property_matches_the_image_count():
+    rng = random.Random(183)
+    seen = set()
+    for _ in range(400):
+        nv = rng.randint(1, 5)
+        g = random_dnf(rng, nv, rng.randint(0, 8 - nv))
+        # sometimes one original variable that no DNF clause uses
+        vs = {abs(x) for c in g for x in c} | set(rng.sample(range(1, 7), rng.randint(0, 1)))
+        for translation in (rk.cant, rk.cantm):
+            fp = translation(g).clauses
+            for args in ((fp, vs), (fp, vs, g), (fp, vs, g, 6)):  # 6: the max_vars guard
+                got = outcome(rk.extension_property, *args)
+                assert got == outcome(ref_extension_property, *args), (g, vs, args[2:])
+                seen.add(got if isinstance(got, str) else got[0])
+    assert seen == {"none", "uep", "strong_uep", "SizeLimitExceeded"}

@@ -10,7 +10,7 @@ from repkit import trees
 from helpers import (
     all_shapes, outcome, ref_apply_literal, ref_build, ref_depth_k_leaf_blocks, ref_extremal_shape,
     ref_height, ref_hts, ref_inner_count, ref_label_bfs, ref_leaf_count, ref_node_masks,
-    ref_dataclass_tree, ref_to_dot, ref_tree_clauses, ref_tree_labels,
+    ref_dataclass_tree, ref_to_dot, ref_tree_clauses, ref_tree_labels, ref_tsmuo,
 )
 
 
@@ -231,6 +231,51 @@ def test_walks_match_frozen_recursive_walks():
             assert rk.tsmuo(f) == ref_build(f, len(rk.variables(f))) == t
             n += 1
     assert n == 626
+
+
+def mutated(rng, f: rk.ClauseSet) -> rk.ClauseSet:
+    """F with one or two random edits: a clause dropped or added, or a
+    literal dropped, added (maybe making a tautology), flipped or replaced."""
+    cs = [set(c) for c in f]
+    vs = sorted(rk.variables(f)) or [1]
+    for _ in range(rng.randint(1, 2)):
+        i = rng.randrange(len(cs))
+        c, op = cs[i], rng.randrange(6)
+        if op == 0 and len(cs) > 1:
+            cs.pop(i)
+        elif op == 1:
+            cs.append({rng.choice((1, -1)) * v for v in rng.sample(vs, rng.randint(0, len(vs)))})
+        elif op == 2:
+            c.add(rng.choice((1, -1)) * rng.choice(vs + [vs[-1] + 1]))
+        elif c:
+            x = rng.choice(sorted(c))
+            c.discard(x)
+            if op == 3:
+                c.add(-x)
+            elif op == 4:
+                c.add(rng.choice((1, -1)) * rng.choice(vs))
+    return frozenset(map(frozenset, cs))
+
+
+def test_tsmuo_matches_the_image_split():
+    shapes = [s for n in range(1, 8) for s in all_shapes(n)]
+    for s in shapes:
+        f = rk.smuo(rk.label_bfs(s))
+        assert rk.tsmuo(f) == ref_tsmuo(f)
+    rng = random.Random(182)
+    seen = set()
+    for _ in range(20000):
+        s = rng.choice(shapes)
+        k = rk.inner_count(s)
+        f = rk.smuo(relabel(s, rng.sample(range(1, 2 * k + 2), k)))
+        if rng.random() < 0.9:
+            f = mutated(rng, f)
+        got = outcome(rk.tsmuo, f)
+        assert got == outcome(ref_tsmuo, f), sorted(map(sorted, f))
+        seen.add(got if isinstance(got, tuple) else "tree")
+    for f in (rk.clause_set([[1, 2], [1, -2], [-1, 2], [-1, -2]]), rk.TOP, rk.BOT_SET):
+        assert outcome(rk.tsmuo, f) == outcome(ref_tsmuo, f)
+    assert len(seen) == 3  # a tree and both NotSmu1Error texts
 
 
 def test_extremal_shape_matches_frozen_recursion():

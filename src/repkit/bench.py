@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import chain
 from math import comb
 
-from .core import Clause, emit_dimacs
+from .core import Clause, _nogc, emit_dimacs
 from .reductions import unsat_level
 from .translate import cant, cantm, complement_clauses
 from .trees import _extremal_fold, alpha, doped_tree, extremal_tree
@@ -79,6 +79,7 @@ def stats(spec: InstanceSpec) -> StatsRecord:
                        comb(d, d // 2), comb(d + 1, (d + 1) // 2))
 
 
+@_nogc
 def generate(spec: InstanceSpec) -> tuple[list[Clause], int]:
     """The instance as an ordered clause list, plus its variable count."""
     d = doped_tree(extremal_tree(spec.k, spec.h))

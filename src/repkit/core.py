@@ -16,13 +16,23 @@ than k free literals, r_k probes only the free literals of the open clauses
 with exactly k, since no other probe can fail (see `_Trail._close`).
 `assume` pushes phi_C, forming phi_C * F on F's trail until undone (solving
 under assumptions: Een and Sorensson, SAT 2003).
+
+The bulk builders of whole instances (`parse_dimacs`, `emit_dimacs` and
+`bench.generate`) run with the cyclic garbage collector paused (`_nogc`).
+They allocate a container per clause, and each collection would walk every
+clause already held, yet what they build holds no reference cycle (a test
+pins that `gc.collect()` finds nothing after them), so the pause defers no
+garbage of theirs.  It is process-wide: cyclic garbage that other threads
+make meanwhile waits until the call returns.
 """
 
 from __future__ import annotations
 
+import functools
+import gc
 import itertools
 from operator import neg
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 Literal = int
 Clause = frozenset[int]
@@ -35,6 +45,27 @@ BOT: Clause = frozenset()
 TOP: ClauseSet = frozenset()
 #: The clause-set {bottom}.
 BOT_SET: ClauseSet = frozenset({BOT})
+
+
+def _nogc(fn: Callable) -> Callable:
+    """Run fn with the cyclic garbage collector disabled, and enable it again
+    afterwards only if it was enabled on entry (as Mercurial's `util.nogc`).
+
+    Safe for builders that make no reference cycles: their objects are freed
+    by reference counting, so the pause holds back no garbage of theirs.  The
+    pause is process-wide, so other threads' cyclic garbage waits until the
+    call returns.
+    """
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+    return wrapper
 
 
 class SizeLimitExceeded(Exception):
@@ -437,6 +468,7 @@ class _Ints(dict):
         return x
 
 
+@_nogc
 def parse_dimacs(text: str) -> tuple[list[Clause], str]:
     """Parse DIMACS CNF/DNF; returns (clause list in file order, format name).
 
@@ -468,6 +500,11 @@ def parse_dimacs(text: str) -> tuple[list[Clause], str]:
             lits = list(map(ints.__getitem__, tokens))
         except ValueError:
             raise DimacsError(f"line {lineno}: bad token in {line.strip()!r}") from None
+        if not pending and lits[-1] == 0 and lits.count(0) == 1:  # one whole clause
+            c = frozenset(lits[:-1])
+            if c.isdisjoint(map(neg, c)):
+                clauses.append(c)
+                continue                 # else clause() below raises its error
         start = 0  # lits[start:] is not yet part of a clause
         for _ in range(lits.count(0)):
             end = lits.index(0, start)
@@ -490,6 +527,7 @@ def parse_dimacs(text: str) -> tuple[list[Clause], str]:
     return clauses, fmt
 
 
+@_nogc
 def emit_dimacs(clauses: Iterable[Clause], fmt: str = "cnf",
                 comments: Iterable[str] = (), num_vars: int | None = None) -> str:
     """Serialize deterministically: given clause order, literals by variable within.

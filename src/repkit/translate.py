@@ -57,8 +57,9 @@ def _selector_translation(dnf, first_new_var: int | None, kind: str) -> Translat
     v0 = (max((abs(x) for c in order for x in c), default=0) + 1
           if first_new_var is None else first_new_var)
     new_vars = {v0 + i: c for i, c in enumerate(order)}
-    out = [frozenset({-(v0 + i), x})
-           for i, c in enumerate(order) for x in sorted(c, key=abs)]
+    out: list[Clause] = []
+    for i, c in enumerate(order):
+        out += map(frozenset, zip(itertools.repeat(-(v0 + i)), sorted(c, key=abs)))
     if kind == "cant":
         out += [frozenset({v0 + i}) | complement(c) for i, c in enumerate(order)]
     out.append(frozenset(v0 + i for i in range(len(order))))

@@ -171,7 +171,8 @@ def tsmuo(f: ClauseSet) -> Tree:
         path.append(v)
         stack += (([c for c in cs if v not in c], d + 1), ([c for c in cs if -v not in c], d + 1))
     t = _fold(labels, lambda i: LEAF, node)
-    if smuo(t) != f:
+    inner = [v for v in labels if v is not None]  # one label may recur across branches
+    if len(set(inner)) < len(inner) or smuo(t) != f:
         raise NotSmu1Error("clause-set is not of the smuo form")
     return t
 

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import json
 
@@ -84,6 +85,51 @@ PINNED_DIMACS_SHA256 = {
 def test_instance_dimacs_pinned_bytes(row):
     text = bench.instance_dimacs(bench.InstanceSpec(*row))
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_DIMACS_SHA256[row]
+
+
+ROW = bench.InstanceSpec(2, 22, 2)  # thousands of clauses: enough for collections to start
+BULK_BUILDERS = [(bench.generate, ROW),
+                 (core.emit_dimacs, frozenset(bench.generate(ROW)[0])),  # a set gets sorted
+                 (core.parse_dimacs, bench.instance_dimacs(ROW))]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("fn, arg", BULK_BUILDERS, ids=lambda x: getattr(x, "__name__", ""))
+def test_bulk_builders_pause_the_collector_and_restore_it(fn, arg, enabled):
+    """No collection starts inside the call, and the collector is left as the
+    caller had it, also when the call raises."""
+    was = gc.isenabled()
+    inside, starts = [False], []
+
+    def record(phase, info):
+        starts.append(inside[0] and phase == "start")
+
+    gc.callbacks.append(record)
+    try:
+        (gc.enable if enabled else gc.disable)()
+        inside[0] = True
+        fn(arg)
+        inside[0] = False
+        assert gc.isenabled() is enabled and not any(starts)
+        with pytest.raises(core.DimacsError):
+            core.parse_dimacs("p cnf 2 1\n1 -1 0\n")
+        assert gc.isenabled() is enabled
+    finally:
+        gc.callbacks.remove(record)
+        (gc.enable if was else gc.disable)()
+
+
+def test_bulk_builders_make_no_reference_cycles():
+    """What the paused builders allocate is freed by reference counting, so
+    the pause defers no garbage: a collection right after finds nothing."""
+    spec = bench.InstanceSpec(3, 23, 2)
+    gc.collect()
+    clauses, _ = bench.generate(spec)
+    assert gc.collect() == 0
+    text = bench.instance_dimacs(spec)
+    assert gc.collect() == 0
+    assert core.parse_dimacs(text)[0] == clauses
+    assert gc.collect() == 0
 
 
 def test_spec_validation():

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import repkit as rk
 from helpers import outcome, ref_emit_dimacs, ref_parse_dimacs
@@ -152,9 +152,10 @@ def test_dimacs_error_messages(bad, message):
 
 @st.composite
 def dimacs_texts(draw):
-    """DIMACS text laid out in random lines, valid or with one corruption:
-    a dropped 0, a complementary literal, a bad (or unusual but int()-valid)
-    token, a second problem line, or a comment line inside the body."""
+    """DIMACS text laid out in random lines or mostly one clause per line,
+    valid or with one corruption: a dropped 0, a complementary literal, a
+    bad (or unusual but int()-valid) token, a second problem line, or a
+    comment line inside the body."""
     nv = draw(st.integers(1, 12))
     cls = draw(st.lists(st.sets(st.integers(1, nv), max_size=4).flatmap(
         lambda vs: st.tuples(*(st.sampled_from([v, -v]) for v in sorted(vs)))), max_size=8))
@@ -172,7 +173,12 @@ def dimacs_texts(draw):
     elif corruption == "token":
         bad = draw(st.sampled_from(["x", "1.5", "--1", "+3", "-0", "1_0", "0x1", "\u0663"]))
         tokens.insert(draw(st.integers(0, len(tokens))), bad)
-    cuts = sorted(draw(st.sets(st.integers(0, len(tokens)))))
+    if draw(st.booleans()):
+        cuts = sorted(draw(st.sets(st.integers(0, len(tokens)))))
+    else:  # mostly one clause per line, some joined or wrapped
+        ends = {i + 1 for i, t in enumerate(tokens) if t == "0"}
+        joined = draw(st.sets(st.sampled_from(sorted(ends)))) if ends else set()
+        cuts = sorted(ends - joined | draw(st.sets(st.integers(0, len(tokens)), max_size=2)))
     sep = draw(st.sampled_from([" ", "  ", "\t"]))
     lines += [sep.join(tokens[i:j]) for i, j in zip([0] + cuts, cuts + [len(tokens)])]
     if corruption in ("second p", "comment"):
@@ -183,6 +189,12 @@ def dimacs_texts(draw):
 
 
 @given(dimacs_texts())
+@example("p cnf 3 3\n1 -2 0\n2 3 0 -1\n-3 0\n")
+@example("p cnf 3 3\n1 -2 0\n0\n2 -3 0 3\n")
+@example("p cnf 2 2\n1 2 0\n2 -2 1 0\n")
+@example("p cnf 2 2\n1 0 2\n-2 1 0\n")
+@example("p cnf 2 2\n1 -2 0 2 0\n-1 1 0\n")
+@example("p cnf 2 1\n1 -1 0\n")
 @settings(max_examples=300, deadline=None)
 def test_parse_dimacs_matches_frozen_parser(text):
     """The same clause list, or the same DimacsError message, as the parser

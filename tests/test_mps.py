@@ -117,20 +117,41 @@ def test_prime_implicates_bounded():
             assert rk.entails(f, c)
 
 
-def test_is_mps_and_is_total_mps_match_the_image_route():
-    rng = random.Random(105)  # the corpus of acceptance criterion 5
+def criterion5_corpus() -> list[rk.ClauseSet]:
+    """The 100 random clause-sets of acceptance criterion 5."""
+    rng = random.Random(105)
     corpus = []
     while len(corpus) < 100:
         f = random_clause_set(rng, rng.randint(2, 5), rng.randint(1, 8))
         if len(f) <= 8:
             corpus.append(f)
-    totals = 0
-    for f in corpus:  # every subset that mps_subsets_direct tests
+    return corpus
+
+
+def test_is_mps_and_is_total_mps_match_the_image_route():
+    totals = repeated = 0
+    for f in criterion5_corpus():  # every subset that mps_subsets_direct tests
         for r in range(len(f) + 1):
             for sub in map(frozenset, itertools.combinations(f, r)):
                 assert mps._puc_image(sub) == ref_puc_image(sub)
                 assert (rk.is_mps(sub) is not None) == ref_is_mps(sub)
                 total = outcome(rk.is_total_mps, sub)
-                assert total == outcome(ref_is_total_mps, sub)
+                want = outcome(ref_is_total_mps, sub)
+                if want == ("ValueError", "inner labels must be distinct"):
+                    want = False  # tsmuo's label rule repeated a label; ref_tsmuo let it escape
+                    repeated += 1
+                assert total == want
                 totals += total is True
-    assert totals
+    assert totals and repeated
+
+
+def test_is_total_mps_matches_the_mps_count():
+    """F is a total mps iff all 2^c(F) - 1 non-empty subsets are mps's."""
+    two_vars = [c for n in range(3) for vs in itertools.combinations((1, 2), n)
+                for c in itertools.product(*((v, -v) for v in vs))]
+    every_two_var_set = [frozenset(map(frozenset, cs)) for r in range(1, len(two_vars) + 1)
+                         for cs in itertools.combinations(two_vars, r)]
+    for f in criterion5_corpus() + every_two_var_set:
+        assert rk.is_total_mps(f) == (len(rk.mps_subsets(f)) == 2 ** len(f) - 1), f
+    full = rk.clause_set([[1, 2], [1, -2], [-1, 2], [-1, -2]])
+    assert full in every_two_var_set and not rk.is_total_mps(full)

@@ -81,6 +81,11 @@ def test_tsmuo_rejects_other_clause_sets():
         rk.tsmuo(rk.clause_set([[1, 2], [-1, -2]]))
     with pytest.raises(rk.NotSmu1Error):
         rk.tsmuo(rk.clause_set([[1], [-1], [2, 3]]))
+    # the label rule picks 2 in both branches; smuo's distinct-label
+    # ValueError used to escape (the frozen ref_tsmuo still lets it through)
+    full = rk.clause_set([[1, 2], [1, -2], [-1, 2], [-1, -2]])
+    assert outcome(ref_tsmuo, full) == ("ValueError", "inner labels must be distinct")
+    assert outcome(rk.tsmuo, full) == ("NotSmu1Error", "clause-set is not of the smuo form")
 
 
 def test_hardness_equals_horton_strahler():
@@ -273,7 +278,7 @@ def test_tsmuo_matches_the_image_split():
         got = outcome(rk.tsmuo, f)
         assert got == outcome(ref_tsmuo, f), sorted(map(sorted, f))
         seen.add(got if isinstance(got, tuple) else "tree")
-    for f in (rk.clause_set([[1, 2], [1, -2], [-1, 2], [-1, -2]]), rk.TOP, rk.BOT_SET):
+    for f in (rk.TOP, rk.BOT_SET):
         assert outcome(rk.tsmuo, f) == outcome(ref_tsmuo, f)
     assert len(seen) == 3  # a tree and both NotSmu1Error texts
 

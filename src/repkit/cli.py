@@ -54,7 +54,6 @@ def cmd_analyze(args) -> int:
         rep = {"hd": reductions.hardness, "phd": reductions.p_hardness,
                "whd": reductions.w_hardness}[m](f)
         out["value"] = rep.value
-        out["exact"] = rep.exact
         if rep.witness is not None:
             out["witness"] = {str(v): b for v, b in rep.witness}
     elif m == "hd-unsat":

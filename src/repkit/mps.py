@@ -11,7 +11,7 @@ resolution closure.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import (
     Clause, ClauseSet, SizeLimitExceeded, clause_key, entails, is_satisfiable,
@@ -35,7 +35,7 @@ class DopedClauseSet:
     """
     clauses: ClauseSet
     doping_map: dict[Clause, int]
-    ordered: tuple[Clause, ...] = field(default_factory=tuple)
+    ordered: tuple[Clause, ...]
 
     @property
     def base(self) -> ClauseSet:

@@ -138,7 +138,6 @@ class HardnessReport:
     kind: str                     # "hd" | "phd" | "whd"
     value: int
     witness: tuple[tuple[int, int], ...] | None  # sorted (var, value) pairs
-    exact: bool = True
 
     def witness_assignment(self) -> Assignment | None:
         return None if self.witness is None else dict(self.witness)
@@ -208,7 +207,7 @@ def w_hardness(f: ClauseSet, max_prime_clauses: int = 10 ** 6) -> HardnessReport
     return _max_over_prime_implicates(f, _Trail(f), "whd", level, max_prime_clauses)[0]
 
 
-def p_hardness(f: ClauseSet, max_vars: int = 14) -> HardnessReport:
+def p_hardness(f: ClauseSet) -> HardnessReport:
     """phd(F): minimal k with r_k(phi * F) = r_inf(phi * F) for all phi.
 
     With hd = hd(F), phd(F) is hd or hd + 1 (r_{hd+1} applies every forced x,
@@ -228,11 +227,8 @@ def p_hardness(f: ClauseSet, max_vars: int = 14) -> HardnessReport:
     C runs in clause_key order and x in scan order; the first phi_{C - x}
     that fails is the witness of value hd + 1, an instance on which r_hd
     and r_inf differ.  The witness of value hd is the empty assignment.
+    Its only size bound is the 10^6-resolvent budget of `hardness`.
     """
-    n = len(variables(f))
-    if n > max_vars:
-        raise SizeLimitExceeded(f"p_hardness over {n} > {max_vars} variables",
-                                budget="variables", limit=max_vars, progress=n)
     t = _Trail(f)
     rep, prime = _max_over_prime_implicates(f, t, "hd", _hd_level(f, t))
     hd = rep.value

@@ -14,6 +14,7 @@ so trees of any depth are handled.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from math import comb
 
@@ -249,29 +250,20 @@ def extremal_tree(k: int, h: int) -> Tree:
 # doping of tree clause-sets
 # ---------------------------------------------------------------------------
 
-def _first_doping_var(t: Tree, first: int | None = None) -> int:
-    """The doping variable of leaf 1: first, by default the largest inner
-    label plus one, so that doping variables never meet a label."""
-    return max(tree_labels(t), default=0) + 1 if first is None else first
-
-
-def doped_tree(t: Tree, first_doping_var: int | None = None) -> DopedClauseSet:
+def doped_tree(t: Tree) -> DopedClauseSet:
     """dope(smuo(T)) with the doping variable of leaf i (leaf order, 1-based)
-    numbered first_doping_var + i - 1 (default: right after the largest label)."""
-    return _doped(tree_clauses(t), _first_doping_var(t, first_doping_var))
+    numbered i after the largest label, so that it never meets a label."""
+    return _doped(tree_clauses(t), max(tree_labels(t), default=0) + 1)
 
 
-def clause_for_leaves(t: Tree, leaf_set: set[int] | frozenset[int],
-                      first_doping_var: int | None = None) -> Clause:
+def clause_for_leaves(t: Tree, leaf_set: set[int] | frozenset[int]) -> Clause:
     """The prime implicate C_V of dope(smuo(T)) for a non-empty set V of
-    leaf numbers: the doping literals of V plus every edge literal x whose
-    subtree contains a leaf of V while the sibling subtree contains none."""
-    masks, nl = _node_masks(t)
+    leaf numbers."""
+    nl, implicate = _implicate_builder(t)
     v_set = frozenset(leaf_set)
     if not v_set or not v_set <= frozenset(range(1, nl + 1)):
         raise ValueError("leaf_set must be a non-empty subset of the leaf numbers")
-    return _leaf_set_implicate(masks, _first_doping_var(t, first_doping_var), nl,
-                               sum(1 << (i - 1) for i in v_set))
+    return implicate(sum(1 << (i - 1) for i in v_set))
 
 
 def _node_masks(t: Tree) -> tuple[list[tuple[int, int, int]], int]:
@@ -284,6 +276,26 @@ def _node_masks(t: Tree) -> tuple[list[tuple[int, int, int]], int]:
         return lm | rm
 
     return masks, _fold(_labels(t), lambda i: 1 << i, inner).bit_length()
+
+
+def _implicate_builder(t: Tree) -> tuple[int, Callable[[int], Clause]]:
+    """The leaf count of T, and the map from the leaf mask of V (leaf i is
+    bit i-1) to C_V, the prime implicate of doped_tree(T) for V: the doping
+    literals of V plus every edge literal whose subtree meets V while the
+    sibling subtree does not."""
+    masks, nl = _node_masks(t)
+    u0 = max((v for v, _, _ in masks), default=0) + 1  # as in doped_tree
+
+    def implicate(mv: int) -> Clause:
+        lits = [u0 + i for i in range(nl) if mv >> i & 1]
+        for v, lm, rm in masks:
+            if mv & lm and not mv & rm:
+                lits.append(v)
+            elif mv & rm and not mv & lm:
+                lits.append(-v)
+        return frozenset(lits)
+
+    return nl, implicate
 
 
 def _depth_k_leaf_blocks(t: Tree, k: int) -> list[list[int]]:
@@ -299,19 +311,6 @@ def _depth_k_leaf_blocks(t: Tree, k: int) -> list[list[int]]:
             leafno += 1
             blocks[-1].append(leafno)
     return blocks
-
-
-def _leaf_set_implicate(masks: list[tuple[int, int, int]], u0: int, nl: int,
-                        mv: int) -> Clause:
-    """C_V for the leaf set V with mask mv: the doping literals of V plus every
-    edge literal whose subtree meets V while the sibling subtree does not."""
-    lits = [u0 + i for i in range(nl) if mv >> i & 1]
-    for v, lm, rm in masks:
-        if mv & lm and not mv & rm:
-            lits.append(v)
-        elif mv & rm and not mv & lm:
-            lits.append(-v)
-    return frozenset(lits)
 
 
 def to_dot(t: Tree) -> str:

@@ -24,13 +24,12 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from math import comb
 
 from .core import Clause, ClauseSet, SizeLimitExceeded, clause_key, complement
-from .trees import (
-    Tree, _depth_k_leaf_blocks, _first_doping_var, _leaf_set_implicate, _node_masks, leaf_count,
-)
+from .trees import Tree, _depth_k_leaf_blocks, _implicate_builder, leaf_count
 
 # depth_k_incomparable_family refuses a tree with more than this many
 # implicates (2^leaves - 1) before doing any work.
@@ -44,14 +43,20 @@ class TriggerHypergraph:
     edges: dict[Clause, frozenset[Clause]]    # vertex C -> its hyperedge E^k_C
 
 
+def _edge_members(c: Clause, k: int, cands: Iterable[Clause]) -> Iterator[Clause]:
+    """The clauses cp of cands in E^k_C: compatible with C and at most k
+    literals outside C.  The complement of C is taken once per call."""
+    comp_c = complement(c)
+    return (cp for cp in cands if not (cp & comp_c) and len(cp - c) <= k)
+
+
 def in_hyperedge(cp: Clause, c: Clause, k: int) -> bool:
-    """cp in E^k_c: compatible with c and at most k literals outside c."""
-    return not (cp & complement(c)) and len(cp - c) <= k
+    """cp in E^k_C."""
+    return any(_edge_members(c, k, (cp,)))
 
 
 def hyperedge(p: ClauseSet, c: Clause, k: int) -> frozenset[Clause]:
-    comp_c = complement(c)
-    return frozenset(cp for cp in p if not (cp & comp_c) and len(cp - c) <= k)
+    return frozenset(_edge_members(c, k, p))
 
 
 def trigger_hypergraph(p: ClauseSet, k: int) -> TriggerHypergraph:
@@ -163,13 +168,12 @@ def _pack(cands: list[int], picked: tuple[int, ...], best: list) -> None:
 # closed-form prime implicates of doped trees, and Sperner certificates
 # ---------------------------------------------------------------------------
 
-def doped_tree_implicates(t: Tree, first_doping_var: int | None = None):
+def doped_tree_implicates(t: Tree):
     """Yield (leaf mask, C_V) for every non-empty leaf set V: exactly the
     prime implicates of dope(smuo(T)), 2^leaves - 1 in total."""
-    masks, nl = _node_masks(t)
-    u0 = _first_doping_var(t, first_doping_var)
+    nl, implicate = _implicate_builder(t)
     for mv in range(1, 1 << nl):
-        yield mv, _leaf_set_implicate(masks, u0, nl, mv)
+        yield mv, implicate(mv)
 
 
 @dataclass
@@ -225,14 +229,12 @@ def depth_k_incomparable_family(t: Tree, k: int) -> DisjointEdgeCertificate:
     subsets = [list(itertools.islice(itertools.combinations(b, r), count)) for b in blocks]
     leaf_sets = [frozenset(i for s in subsets for i in s[pos]) for pos in range(count)]
 
-    masks, nl = _node_masks(t)
-    u0 = _first_doping_var(t)
+    nl, implicate = _implicate_builder(t)
     edge_clauses = []
     members = []
     for v in leaf_sets:
         mask = sum(1 << (i - 1) for i in v)
-        c = _leaf_set_implicate(masks, u0, nl, mask)
-        comp_c = complement(c)
+        c = implicate(mask)
         # C_V' has a doping literal for every leaf of V' outside V, so the only
         # candidates are V' = s | e with s inside V and at most k leaves e outside.
         subs = [0]
@@ -240,17 +242,15 @@ def depth_k_incomparable_family(t: Tree, k: int) -> DisjointEdgeCertificate:
             if mask >> i & 1:
                 subs += [s | 1 << i for s in subs]
         outside = [1 << i for i in range(nl) if not mask >> i & 1]
-        found = []
+        cands = {}  # C_V' -> the mask of V'
         for j in range(k + 1):
             for e in itertools.combinations(outside, j):
                 e_mask = sum(e)
                 for s in subs:
                     mv = s | e_mask
                     if mv:
-                        cp = _leaf_set_implicate(masks, u0, nl, mv)
-                        if not (cp & comp_c) and len(cp - c) <= k:
-                            found.append(mv)
-        members.append(tuple(sorted(found)))
+                        cands[implicate(mv)] = mv
+        members.append(tuple(sorted(map(cands.__getitem__, _edge_members(c, k, cands)))))
         edge_clauses.append(c)
     # explicit pairwise disjointness check
     for (i, a), (j, b) in itertools.combinations(enumerate(members), 2):

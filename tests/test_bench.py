@@ -491,10 +491,15 @@ def test_cli_errors_are_one_line_with_distinct_codes(tmp_path, capsys):
     rc, err = run_cli_err(capsys, "analyze", str(bad))
     assert rc == 3 and err == "repkit: line 2: bad token in '1 x 0'\n"
 
-    wide = tmp_path / "wide.cnf"
+    many = tmp_path / "many.cnf"
+    many.write_text("p cnf 17 17\n" + "".join(f"{v} 0\n" for v in range(1, 18)))
+    rc, err = run_cli_err(capsys, "mps", str(many), "--direct")
+    assert rc == 4 and err.startswith("repkit: direct mps enumeration over 17 clauses")
+
+    wide = tmp_path / "wide.cnf"  # p_hardness has no variable cap
     wide.write_text("p cnf 15 1\n" + " ".join(map(str, range(1, 16))) + " 0\n")
-    rc, err = run_cli_err(capsys, "analyze", str(wide), "--measure", "phd")
-    assert rc == 4 and err.startswith("repkit: p_hardness over 15 > 14 variables")
+    rc, out = run_cli(capsys, "analyze", str(wide), "--measure", "phd")
+    assert rc == 0 and json.loads(out)["value"] == 1 and "exact" not in json.loads(out)
 
     sat = tmp_path / "sat.cnf"
     sat.write_text("p cnf 2 1\n1 2 0\n")

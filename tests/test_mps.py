@@ -1,6 +1,8 @@
 import itertools
 import random
 
+import pytest
+
 import repkit as rk
 from repkit import mps
 from helpers import outcome, random_clause_set, ref_is_mps, ref_is_total_mps, ref_puc_image
@@ -28,6 +30,10 @@ def test_dope_shape():
     # every clause got exactly one private new variable
     for c, u in d.doping_map.items():
         assert u in d.doping_vars and c | {u} in d.clauses
+    # the emission order lists exactly the doped clauses, and must be given
+    assert frozenset(d.ordered) == d.clauses and len(d.ordered) == len(f)
+    with pytest.raises(TypeError):
+        rk.DopedClauseSet(d.clauses, d.doping_map)
 
 
 def test_dope_inverse():

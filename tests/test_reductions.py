@@ -138,6 +138,26 @@ def test_p_hardness_degenerate_inputs():
     assert rk.p_hardness(f).value == rk.hardness(f).value == 2
 
 
+def test_p_hardness_over_15_variables_is_the_largest_of_disjoint_parts():
+    # r_k and r_inf act on variable-disjoint satisfiable parts one by one, so
+    # phd of their union is the largest phd of a part
+    rng = random.Random(30)
+    seen = set()
+    for _ in range(40):
+        parts = []
+        while len(parts) < 3:
+            f = random_clause_set(rng, 5, rng.randint(3, 10))
+            if len(rk.variables(f)) == 5 and rk.is_satisfiable(f):
+                parts.append(f)
+        union = frozenset(frozenset(x + 5 * i if x > 0 else x - 5 * i for x in c)
+                          for i, f in enumerate(parts) for c in f)
+        assert len(rk.variables(union)) == 15
+        want = max(map(phd_by_definition, parts))
+        assert rk.p_hardness(union).value == want, sorted(map(sorted, union))
+        seen.add(want)
+    assert len(seen) > 1
+
+
 def test_w_hardness_oracle():
     rng = random.Random(15)
     for _ in range(40):
@@ -203,8 +223,6 @@ F3 = rk.clause_set([[1, 2], [-2, 3], [-1, -3]])
 
 
 @pytest.mark.parametrize("call, message, fields", [
-    (lambda: rk.p_hardness(F3, max_vars=2),
-     "p_hardness over 3 > 2 variables", ("variables", 2, 3)),
     (lambda: rk.canonical_dnf(F3, max_vars=2),
      "canonical_dnf over 3 > 2 variables", ("variables", 2, 3)),
     (lambda: rk.mps_subsets_direct(F3, max_clauses=2),
@@ -216,7 +234,7 @@ F3 = rk.clause_set([[1, 2], [-2, 3], [-1, -3]])
     (lambda: rk.depth_k_incomparable_family(rk.extremal_tree(2, 6), 1),
      "depth_k_incomparable_family over 4194303 > 1048576 implicates",
      ("implicates", 1 << 20, (1 << 22) - 1)),
-], ids=["p_hardness", "canonical_dnf", "mps_subsets_direct", "prime_implicates_bruteforce",
+], ids=["canonical_dnf", "mps_subsets_direct", "prime_implicates_bruteforce",
         "extension_property", "depth_k_incomparable_family"])
 def test_size_guards_name_the_budget_and_limit(call, message, fields):
     with pytest.raises(rk.SizeLimitExceeded) as info:
@@ -375,7 +393,8 @@ def test_split_hardness_bound():
 def test_hardness_witness_checks_out():
     f = rk.clause_set([[1, 2], [-1, 2], [1, -2], [-1, -2]])
     rep = rk.hardness(f)
-    assert rep.kind == "hd" and rep.exact
+    assert rep.kind == "hd" and rep.value == 2
+    assert rk.refutation_level(rk.apply_assignment(rep.witness_assignment(), f)) == 2
 
 
 @st.composite

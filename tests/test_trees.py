@@ -154,9 +154,9 @@ def test_clause_for_leaves_singletons():
     for _ in range(15):
         t = random_tree(rng, rng.randint(2, 5))
         d = rk.doped_tree(t)
-        first = max(rk.tree_labels(t)) + 1  # the default: after the largest label
+        first = max(rk.tree_labels(t)) + 1  # doping starts after the largest label
+        assert d.doping_vars == set(range(first, first + rk.leaf_count(t)))
         for i in range(1, rk.leaf_count(t) + 1):
-            assert rk.clause_for_leaves(t, {i}, first) == d.ordered[i - 1]
             assert rk.clause_for_leaves(t, {i}) == d.ordered[i - 1]
 
 
@@ -177,17 +177,16 @@ def test_doping_variables_never_reuse_a_label():
 
 def test_clause_for_leaves_example():
     t = rk.extremal_tree(2, 2)
-    assert rk.clause_for_leaves(t, {1, 3}, 4) == rk.clause(2, 3, 4, 6)
+    assert rk.clause_for_leaves(t, {1, 3}) == rk.clause(2, 3, 4, 6)
 
 
 def test_clause_for_leaves_are_prime_implicates():
     rng = random.Random(26)
     for _ in range(8):
         t = random_tree(rng, rng.randint(2, 4))
-        first = max(rk.tree_labels(t)) + 1
-        d = rk.doped_tree(t, first)
+        d = rk.doped_tree(t)
         primes = rk.prime_implicates(d.clauses)
-        for mask, c in rk.doped_tree_implicates(t, first):
+        for mask, c in rk.doped_tree_implicates(t):
             assert c in primes
 
 

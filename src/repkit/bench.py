@@ -18,11 +18,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 from math import comb
+from operator import neg
 
-from .core import Clause, _nogc, emit_dimacs
+from .core import Assignment, Clause, ClauseSet, _nogc, _Trail, apply_assignment, emit_dimacs
 from .reductions import unsat_level
 from .translate import cant, cantm, complement_clauses
-from .trees import _extremal_fold, alpha, doped_tree, extremal_tree
+from .trees import _extremal_fold, _fold, _labels, alpha, doped_tree, extremal_tree
+
+#: A tree-resolution refutation as index chains.  Clause i < len(F) is the
+#: input clause F[i]; chain j derives clause len(F) + j.  A chain (start,
+#: steps) begins at clause start and resolves the running clause, for each
+#: (antecedent, p) in turn, with the antecedent on the pivot p: the running
+#: clause holds p, the antecedent -p.
+Proof = list[tuple[int, list[tuple[int, int]]]]
 
 
 @dataclass(frozen=True)
@@ -122,29 +130,156 @@ def default_grid() -> list[tuple[int, int]]:
             + [(5, h) for h in (25, 35)])
 
 
+def _certificate(spec: InstanceSpec, clauses: list[Clause]) -> tuple[int, Proof, Assignment]:
+    """A refutation of the generated clause list, read off the generator's
+    clause layout, with the Horton-Strahler number it claims, and the
+    restriction phi of the lower bound.
+
+    G1 (F' then F, leaf order): each leaf's pair resolves on its doping
+    variable into the leaf's path clause, then each inner node's children
+    resolve on its label, children first; the Horton-Strahler number is
+    k + 1.  phi walks down from the root: where a child keeps the target
+    Horton-Strahler number, its label is set so that the other child drops
+    out; where neither does, both stay and the target falls by one.  So
+    phi * F is G1 of the complete binary tree of height k.
+
+    G2/G3 (F', the translation's binary selector clauses, ..., the long
+    selector clause last): F'[i] resolves with its binary clauses
+    (-s_i, -l) into {-s_i}, Horton-Strahler number 1, and the long clause
+    with every {-s_i} into bot, number 2.  phi is empty."""
+    a, m = alpha(spec.k, spec.h), len(clauses)
+    proof: Proof = []
+    if spec.variant != 1:
+        b = a                          # the first binary clause of leaf i
+        for i in range(a):
+            lits = sorted(clauses[i], key=abs)
+            proof.append((i, [(b + j, x) for j, x in enumerate(lits)]))
+            b += len(lits)
+        proof.append((m - 1, [(m + i, 2 * a + i) for i in range(a)]))
+        return 2, proof, {}
+
+    def chain(start: int, ante: int, p: int, hs: int, v=None, kids=()):
+        """Append a one-step chain; its clause index, the Horton-Strahler
+        number of the tree node it stands for, the node's label and children."""
+        proof.append((start, [(ante, p)]))
+        return m + len(proof) - 1, hs, v, kids
+
+    def inner(v, l, r):
+        return chain(l[0], r[0], v, l[1] + 1 if l[1] == r[1] else max(l[1], r[1]), v, (l, r))
+
+    root = _fold(_labels(extremal_tree(spec.k, spec.h)),
+                 lambda i: chain(i, a + i, -(a + i), 0), inner)
+    phi: Assignment = {}
+    stack = [(root, root[1])]
+    while stack:
+        (_, _, v, kids), want = stack.pop()
+        if not kids:
+            continue
+        l, r = kids
+        if l[1] >= want:
+            phi[v] = 0                 # -v is true: the right subtree drops out
+            stack.append((l, want))
+        elif r[1] >= want:
+            phi[v] = 1
+            stack.append((r, want))
+        else:
+            stack += ((l, want - 1), (r, want - 1))
+    return spec.k + 1, proof, phi
+
+
+def _check_refutation(clauses: list[Clause], proof: Proof, level: int) -> int:
+    """The Horton-Strahler number of a checked tree-resolution refutation
+    of clauses (an input clause is 0; a resolvent is a + 1 when both its
+    parents are a, otherwise the larger of theirs).  Raises ValueError on
+    an index that names no input clause and no earlier, unused derived
+    clause, on a pivot missing from either side, on a clause holding a
+    literal and its complement, when the last derived clause is not empty,
+    and when the number exceeds the claimed level.  Each derived clause is
+    dropped at its one use, so the proof is a tree."""
+    m = len(clauses)
+    derived: list[tuple[set[int], int] | None] = []
+
+    def take(i: int) -> tuple[Clause | set[int], int]:
+        if 0 <= i < m:
+            return clauses[i], 0
+        if not m <= i < m + len(derived) or derived[i - m] is None:
+            raise ValueError(f"clause index {i} names no available clause")
+        got, derived[i - m] = derived[i - m], None
+        return got
+
+    for start, steps in proof:
+        run, hs = take(start)
+        if start < m:
+            run = set(run)
+            if not run.isdisjoint(map(neg, run)):
+                raise ValueError(f"input clause {start} is tautological")
+        for ante, p in steps:
+            c, h = take(ante)
+            if p not in run or -p not in c:
+                raise ValueError(f"pivot {p} is not clashing")
+            run.discard(p)
+            for x in c:                # the rest of c joins run, clashing with nothing there
+                if x != -p:
+                    if -x in run or x == p:
+                        raise ValueError(f"the resolvent on {p} is tautological")
+                    run.add(x)
+            hs = hs + 1 if hs == h else max(hs, h)
+        derived.append((run, hs))
+    if not derived or derived[-1][0]:
+        raise ValueError("the proof does not end in the empty clause")
+    if derived[-1][1] > level:
+        raise ValueError(f"Horton-Strahler number {derived[-1][1]} above the claimed {level}")
+    return derived[-1][1]
+
+
+@_nogc
+def _certified_level(spec: InstanceSpec, clauses: list[Clause], f: ClauseSet) -> int | None:
+    """hd(F) by certificate, or None when one cannot be built or checked.
+    A checked refutation of Horton-Strahler number L shows hd(F) <= L
+    (Kullmann 1999: hd(F) is the least such number), and r_{L-1} not
+    refuting phi * F shows hd(F) >= hd(phi * F) >= L, since hd never grows
+    under instantiation.  Runs with the collector paused, as `generate`
+    does: the proof, the derived clauses and the trail hold no cycle."""
+    try:
+        level, proof, phi = _certificate(spec, clauses)
+        lvl = _check_refutation(clauses, proof, level)
+        del proof                      # freed before the trail is built
+        g = apply_assignment(phi, f) if phi else f
+        return lvl if _Trail(g).raise_to(lvl - 1) is None else None
+    except (LookupError, ValueError):  # an instance of another layout, or a rejected proof
+        return None
+
+
 def verify(spec: InstanceSpec, level: str = "formulas") -> dict:
     """Check the generated instance against the closed forms ("formulas")
     or additionally its satisfiability status and hardness ("hardness").
 
-    With the claimed hardness hd, one trail of F is closed under r_2 ... r_hd
-    (`unsat_level`).  An r_hd refutation is the proof that F is unsatisfiable,
-    and its level is the hardness.  DPLL runs only on a failed claim, where
-    the trail is still open: it tells "satisfiable" apart from "harder than
-    claimed", and then the climb goes on from r_{hd+1}."""
+    The hardness is certified first (`_certified_level`): a refutation read
+    off the generator's clause layout is checked step by step for the upper
+    bound, and r_{L-1} fails on a small restriction of F for the lower
+    bound.  No r_k search runs on the whole instance then.  Should the
+    certificate fail to build or check, the search decides instead: with
+    the claimed hardness hd, one trail of F is closed under r_2 ... r_hd
+    (`unsat_level`), and DPLL runs only if the trail is still open there;
+    it tells "satisfiable" apart from "harder than claimed", and then the
+    climb goes on from r_{hd+1}."""
     rec = stats(spec)
     clauses, n = generate(spec)
+    f = frozenset(clauses)
     report = {
         "instance": spec.name,
         "n": (n, rec.n),
         "c": (len(clauses), rec.c),
         "l": (sum(len(c) for c in clauses), rec.l),
-        "distinct": len(set(clauses)) == len(clauses),
+        "distinct": len(f) == len(clauses),
     }
     report["ok"] = (report["distinct"]
                     and all(got == want for got, want in
                             (report["n"], report["c"], report["l"])))
     if level == "hardness":
-        lvl = unsat_level(frozenset(clauses), rec.hardness)
+        lvl = _certified_level(spec, clauses, f)
+        if lvl is None:
+            lvl = unsat_level(f, rec.hardness)
         report["unsatisfiable"] = lvl is not None
         report["hardness"] = (lvl, rec.hardness)
         report["ok"] = report["ok"] and lvl == rec.hardness

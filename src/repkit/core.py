@@ -17,8 +17,9 @@ with exactly k, since no other probe can fail (see `_Trail._close`).
 `assume` pushes phi_C, forming phi_C * F on F's trail until undone (solving
 under assumptions: Een and Sorensson, SAT 2003).
 
-The bulk builders of whole instances (`parse_dimacs`, `emit_dimacs` and
-`bench.generate`) run with the cyclic garbage collector paused (`_nogc`).
+The bulk builders of whole instances (`parse_dimacs`, `emit_dimacs`,
+`bench.generate` and the certificate check of `bench.verify`) run with the
+cyclic garbage collector paused (`_nogc`).
 They allocate a container per clause, and each collection would walk every
 clause already held, yet what they build holds no reference cycle (a test
 pins that `gc.collect()` finds nothing after them), so the pause defers no
@@ -144,18 +145,9 @@ def apply_assignment(phi: Assignment, f: ClauseSet) -> ClauseSet:
 
 def apply_clauses(phi: Assignment, clauses: Iterable[Clause]) -> list[Clause]:
     """Image of a clause *list* (multi-clause-set mode: duplicates survive)."""
-    out = []
-    for c in clauses:
-        kept = []
-        for x in c:
-            s = sat_lit(phi, x)
-            if s == 1:
-                break
-            if s is None:
-                kept.append(x)
-        else:
-            out.append(frozenset(kept))
-    return out
+    true = {v if b else -v for v, b in phi.items()}
+    false = {-x for x in true}
+    return [frozenset(c).difference(false) for c in clauses if true.isdisjoint(c)]
 
 
 def falsifying_assignment(c: Iterable[int]) -> Assignment:

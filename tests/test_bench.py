@@ -8,6 +8,7 @@ import pytest
 import repkit as rk
 from repkit import bench, cli, core
 from helpers import REFERENCE_TABLE, REFERENCE_ALPHA, ref_leaf_depth_sum, ref_verify
+from test_splitting import splitting_level
 
 
 def test_stats_against_frozen_table():
@@ -130,6 +131,8 @@ def test_bulk_builders_make_no_reference_cycles():
     assert gc.collect() == 0
     assert core.parse_dimacs(text)[0] == clauses
     assert gc.collect() == 0
+    assert bench._certified_level(spec, clauses, frozenset(clauses)) == 2
+    assert gc.collect() == 0
 
 
 def test_spec_validation():
@@ -173,7 +176,22 @@ def test_verify_equals_the_dpll_first_reference(k, h, variant):
     assert rep["ok"] is True
 
 
+def spy_on_search(monkeypatch) -> list[int]:
+    """Record the claimed level of each call of the search fallback."""
+    calls = []
+    search = bench.unsat_level
+
+    def spy(f, j=2):
+        calls.append(j)
+        return search(f, j)
+
+    monkeypatch.setattr(bench, "unsat_level", spy)
+    return calls
+
+
 def test_verify_runs_no_dpll_when_the_claim_holds(monkeypatch):
+    """Each rung is certified: neither DPLL nor the r_k search runs, so a
+    silent fallback cannot hide a lost speed-up."""
     calls = []
     model = core._Trail.model
 
@@ -182,9 +200,10 @@ def test_verify_runs_no_dpll_when_the_claim_holds(monkeypatch):
         return model(t, *args)
 
     monkeypatch.setattr(core._Trail, "model", spy)
+    searches = spy_on_search(monkeypatch)
     for k, h, variant in VERIFIED_SPECS:
         assert bench.verify(bench.InstanceSpec(k, h, variant), "hardness")["ok"] is True
-    assert calls == []
+    assert calls == [] and searches == []
 
 
 def claim(monkeypatch, delta):
@@ -222,10 +241,134 @@ def test_verify_on_a_satisfiable_instance(monkeypatch):
         return clauses[:-1], n
 
     monkeypatch.setattr(bench, "generate", less_one_clause)
+    searches = spy_on_search(monkeypatch)
     for k, h in [(2, 5), (3, 5)]:
         rep = assert_verify_matches_reference(bench.InstanceSpec(k, h, 1))
         assert rep["unsatisfiable"] is False and rep["hardness"] == (None, k + 1)
         assert rep["ok"] is False
+    assert searches == [3, 4]
+
+
+# ---------------------------------------------------------------------------
+# the certificate route of verify
+# ---------------------------------------------------------------------------
+
+def certificate(spec):
+    clauses, _ = bench.generate(spec)
+    level, proof, phi = bench._certificate(spec, clauses)
+    return clauses, level, proof, phi
+
+
+def test_the_checker_returns_the_horton_strahler_number():
+    x = frozenset
+    assert bench._check_refutation([x({1}), x({-1})], [(0, [(1, 1)])], 1) == 1
+    full2 = [x({1, 2}), x({1, -2}), x({-1, 2}), x({-1, -2})]
+    proof = [(0, [(1, 2)]), (2, [(3, 2)]), (4, [(5, 1)])]
+    assert bench._check_refutation(full2, proof, 2) == 2
+    for spec in [bench.InstanceSpec(2, 5, 1), bench.InstanceSpec(3, 6, 1), bench.InstanceSpec(2, 5, 3)]:
+        clauses, level, proof, _ = certificate(spec)
+        assert bench._check_refutation(clauses, proof, level) == level
+
+
+@pytest.mark.parametrize("clauses, proof", [
+    ([{1}, {-1}], [(0, [(1, 1)]), (2, []), (2, [])]),                 # a derived clause used twice
+    ([{2}, {-1}, {-2}], [(0, [(1, 1), (2, 2)])]),                      # the pivot is not in the running clause
+    ([{1}, {2}, {-2}], [(0, [(1, 1), (2, 2)])]),                       # its complement is not in the antecedent
+    ([{1, 2}, {-1, -2}, {-2}, {2}], [(0, [(1, 1), (2, 2), (3, -2)])]),  # a tautological resolvent
+    ([{1, -1}, {-1}, {1}], [(0, [(1, 1), (2, -1)])]),                  # a tautological input clause
+    ([{1}, {-1, 1}, {-1}], [(0, [(1, 1)]), (3, [(2, 1)])]),            # and as the antecedent
+    ([{1}, {-1}], [(0, [(1, 1)]), (1, [])]),                           # a last clause that is not bot
+    ([], []),
+], ids=["reuse", "pivot-not-in-running", "complement-not-in-antecedent", "tautological-resolvent",
+        "tautological-input", "tautological-antecedent", "last-not-empty", "empty-proof"])
+def test_the_checker_rejects(clauses, proof):
+    with pytest.raises(ValueError):
+        bench._check_refutation([frozenset(c) for c in clauses], proof, 5)
+
+
+def wrong_pivot(level, proof, m):
+    (start, [(ante, p), *rest]), *chains = proof
+    return level, [(start, [(ante, -p), *rest]), *chains]
+
+
+def past_the_end(level, proof, m):
+    (start, [(_, p), *rest]), *chains = proof
+    return level, [(start, [(m + len(proof), p), *rest]), *chains]
+
+
+def negative_index(level, proof, m):
+    (start, [(_, p), *rest]), *chains = proof
+    return level, [(start, [(-1, p), *rest]), *chains]
+
+
+def last_not_empty(level, proof, m):
+    *chains, (start, steps) = proof
+    return level, [*chains, (start, steps[:-1])]
+
+
+def one_too_low(level, proof, m):
+    return level - 1, proof
+
+
+MUTATIONS = [wrong_pivot, past_the_end, negative_index, last_not_empty, one_too_low]
+
+
+@pytest.mark.parametrize("mutate", MUTATIONS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("k,h,variant", [(2, 5, 1), (3, 5, 1), (2, 5, 2), (2, 6, 3)])
+def test_a_mutated_certificate_is_rejected_and_verify_falls_back(monkeypatch, mutate, k, h, variant):
+    spec = bench.InstanceSpec(k, h, variant)
+    clauses, level, proof, phi = certificate(spec)
+    bad_level, bad_proof = mutate(level, proof, len(clauses))
+    with pytest.raises(ValueError):
+        bench._check_refutation(clauses, bad_proof, bad_level)
+
+    build = bench._certificate
+
+    def mutated(spec, clauses):
+        level, proof, phi = build(spec, clauses)
+        return (*mutate(level, proof, len(clauses)), phi)
+
+    monkeypatch.setattr(bench, "_certificate", mutated)
+    searches = spy_on_search(monkeypatch)
+    rep = assert_verify_matches_reference(spec)
+    assert rep["ok"] is True and searches == [level]
+
+
+def test_a_restriction_that_keeps_too_little_is_rejected(monkeypatch):
+    """The lower bound is checked: with phi also setting the root label of
+    the tree it leaves, r_{L-1} refutes phi * F and verify falls back."""
+    spec = bench.InstanceSpec(2, 5, 1)
+    build = bench._certificate
+
+    def more(spec, clauses):
+        level, proof, phi = build(spec, clauses)
+        v = min(abs(x) for c in rk.apply_assignment(phi, frozenset(clauses)) for x in c)
+        return level, proof, {**phi, v: 0}
+
+    monkeypatch.setattr(bench, "_certificate", more)
+    searches = spy_on_search(monkeypatch)
+    assert assert_verify_matches_reference(spec)["ok"] is True and searches == [3]
+
+
+@pytest.mark.parametrize("k,h", [(2, 5), (2, 12), (3, 5), (3, 6)])
+def test_the_g1_restriction_leaves_the_complete_tree_of_height_k(k, h):
+    spec = bench.InstanceSpec(k, h, 1)
+    clauses, level, _, phi = certificate(spec)
+    g = rk.apply_assignment(phi, frozenset(clauses))
+    assert len(phi) == h - k and len(g) == 2 ** (k + 1)
+    assert sorted(len(c) for c in g) == [k + 1] * 2 ** (k + 1)
+    if k == 2:
+        assert splitting_level(g) == level == k + 1
+
+
+@pytest.mark.parametrize("k,h,variant", [(2, 52, 1), (3, 23, 2), (2, 52, 3)])
+def test_the_certificate_and_the_search_agree(monkeypatch, k, h, variant):
+    spec = bench.InstanceSpec(k, h, variant)
+    searches = spy_on_search(monkeypatch)
+    rep = bench.verify(spec, "hardness")
+    assert searches == [] and rep["ok"] is True
+    clauses, _ = bench.generate(spec)
+    assert rk.unsat_level(frozenset(clauses), rep["hardness"][1]) == rep["hardness"][0]
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,14 @@ from itertools import chain
 from math import comb
 from operator import neg
 
-from .core import Assignment, Clause, ClauseSet, _nogc, _Trail, apply_assignment, emit_dimacs
+from .core import Clause, SizeLimitExceeded, _nogc, emit_dimacs
 from .reductions import unsat_level
 from .translate import cant, cantm, complement_clauses
 from .trees import _extremal_fold, _fold, _labels, alpha, doped_tree, extremal_tree
+
+#: The most literals `generate` builds: the largest row of the paper's table,
+#: G2_k5_h35, has 49,595,888.
+_MAX_LITERALS = 50_000_000
 
 #: A tree-resolution refutation as index chains.  Clause i < len(F) is the
 #: input clause F[i]; chain j derives clause len(F) + j.  A chain (start,
@@ -89,7 +93,13 @@ def stats(spec: InstanceSpec) -> StatsRecord:
 
 @_nogc
 def generate(spec: InstanceSpec) -> tuple[list[Clause], int]:
-    """The instance as an ordered clause list, plus its variable count."""
+    """The instance as an ordered clause list, plus its variable count.
+    Raises SizeLimitExceeded, before building anything, when the closed
+    form counts more than _MAX_LITERALS literals."""
+    l = stats(spec).l
+    if l > _MAX_LITERALS:
+        raise SizeLimitExceeded(f"{spec.name} has {l} literals, above the limit of {_MAX_LITERALS}",
+                                budget="literals", limit=_MAX_LITERALS, progress=l)
     d = doped_tree(extremal_tree(spec.k, spec.h))
     flipped = [c ^ {u, -u} for c, u in zip(d.ordered, d.doping_map.values())]
     if spec.variant == 1:
@@ -130,23 +140,19 @@ def default_grid() -> list[tuple[int, int]]:
             + [(5, h) for h in (25, 35)])
 
 
-def _certificate(spec: InstanceSpec, clauses: list[Clause]) -> tuple[int, Proof, Assignment]:
+def _certificate(spec: InstanceSpec, clauses: list[Clause]) -> tuple[int, Proof]:
     """A refutation of the generated clause list, read off the generator's
-    clause layout, with the Horton-Strahler number it claims, and the
-    restriction phi of the lower bound.
+    clause layout, with the Horton-Strahler number it claims.
 
     G1 (F' then F, leaf order): each leaf's pair resolves on its doping
     variable into the leaf's path clause, then each inner node's children
     resolve on its label, children first; the Horton-Strahler number is
-    k + 1.  phi walks down from the root: where a child keeps the target
-    Horton-Strahler number, its label is set so that the other child drops
-    out; where neither does, both stay and the target falls by one.  So
-    phi * F is G1 of the complete binary tree of height k.
+    k + 1.
 
     G2/G3 (F', the translation's binary selector clauses, ..., the long
     selector clause last): F'[i] resolves with its binary clauses
     (-s_i, -l) into {-s_i}, Horton-Strahler number 1, and the long clause
-    with every {-s_i} into bot, number 2.  phi is empty."""
+    with every {-s_i} into bot, number 2."""
     a, m = alpha(spec.k, spec.h), len(clauses)
     proof: Proof = []
     if spec.variant != 1:
@@ -156,35 +162,16 @@ def _certificate(spec: InstanceSpec, clauses: list[Clause]) -> tuple[int, Proof,
             proof.append((i, [(b + j, x) for j, x in enumerate(lits)]))
             b += len(lits)
         proof.append((m - 1, [(m + i, 2 * a + i) for i in range(a)]))
-        return 2, proof, {}
+        return 2, proof
 
-    def chain(start: int, ante: int, p: int, hs: int, v=None, kids=()):
-        """Append a one-step chain; its clause index, the Horton-Strahler
-        number of the tree node it stands for, the node's label and children."""
+    def chain(start: int, ante: int, p: int) -> int:
+        """Append a one-step chain; the index of the clause it derives."""
         proof.append((start, [(ante, p)]))
-        return m + len(proof) - 1, hs, v, kids
+        return m + len(proof) - 1
 
-    def inner(v, l, r):
-        return chain(l[0], r[0], v, l[1] + 1 if l[1] == r[1] else max(l[1], r[1]), v, (l, r))
-
-    root = _fold(_labels(extremal_tree(spec.k, spec.h)),
-                 lambda i: chain(i, a + i, -(a + i), 0), inner)
-    phi: Assignment = {}
-    stack = [(root, root[1])]
-    while stack:
-        (_, _, v, kids), want = stack.pop()
-        if not kids:
-            continue
-        l, r = kids
-        if l[1] >= want:
-            phi[v] = 0                 # -v is true: the right subtree drops out
-            stack.append((l, want))
-        elif r[1] >= want:
-            phi[v] = 1
-            stack.append((r, want))
-        else:
-            stack += ((l, want - 1), (r, want - 1))
-    return spec.k + 1, proof, phi
+    _fold(_labels(extremal_tree(spec.k, spec.h)),
+          lambda i: chain(i, a + i, -(a + i)), lambda v, l, r: chain(l, r, v))
+    return spec.k + 1, proof
 
 
 def _check_refutation(clauses: list[Clause], proof: Proof, level: int) -> int:
@@ -233,19 +220,19 @@ def _check_refutation(clauses: list[Clause], proof: Proof, level: int) -> int:
 
 
 @_nogc
-def _certified_level(spec: InstanceSpec, clauses: list[Clause], f: ClauseSet) -> int | None:
+def _certified_level(spec: InstanceSpec, clauses: list[Clause]) -> int | None:
     """hd(F) by certificate, or None when one cannot be built or checked.
     A checked refutation of Horton-Strahler number L shows hd(F) <= L
-    (Kullmann 1999: hd(F) is the least such number), and r_{L-1} not
-    refuting phi * F shows hd(F) >= hd(phi * F) >= L, since hd never grows
-    under instantiation.  Runs with the collector paused, as `generate`
-    does: the proof, the derived clauses and the trail hold no cycle."""
+    (Kullmann 1999: hd(F) is the least such number), and no clause shorter
+    than L shows hd(F) >= L: r_0 needs the empty clause, and setting one
+    literal shortens each clause by at most one, so by induction r_j
+    changes nothing while every clause has more than j literals.  Runs with
+    the collector paused, as `generate` does: the proof and the derived
+    clauses hold no cycle."""
     try:
-        level, proof, phi = _certificate(spec, clauses)
+        level, proof = _certificate(spec, clauses)
         lvl = _check_refutation(clauses, proof, level)
-        del proof                      # freed before the trail is built
-        g = apply_assignment(phi, f) if phi else f
-        return lvl if _Trail(g).raise_to(lvl - 1) is None else None
+        return lvl if min(map(len, clauses)) >= lvl else None
     except (LookupError, ValueError):  # an instance of another layout, or a rejected proof
         return None
 
@@ -256,13 +243,12 @@ def verify(spec: InstanceSpec, level: str = "formulas") -> dict:
 
     The hardness is certified first (`_certified_level`): a refutation read
     off the generator's clause layout is checked step by step for the upper
-    bound, and r_{L-1} fails on a small restriction of F for the lower
-    bound.  No r_k search runs on the whole instance then.  Should the
-    certificate fail to build or check, the search decides instead: with
-    the claimed hardness hd, one trail of F is closed under r_2 ... r_hd
-    (`unsat_level`), and DPLL runs only if the trail is still open there;
-    it tells "satisfiable" apart from "harder than claimed", and then the
-    climb goes on from r_{hd+1}."""
+    bound L, and the shortest clause, of at least L literals, gives the
+    lower bound.  Neither bound builds a propagation trail.  Should the
+    certificate fail to build or check, the search decides instead:
+    `unsat_level` closes one trail of F under r_2, and DPLL runs only if
+    the trail is still open there; it tells "satisfiable" apart from
+    "harder than r_2", and then the climb goes on from r_3."""
     rec = stats(spec)
     clauses, n = generate(spec)
     f = frozenset(clauses)
@@ -277,9 +263,9 @@ def verify(spec: InstanceSpec, level: str = "formulas") -> dict:
                     and all(got == want for got, want in
                             (report["n"], report["c"], report["l"])))
     if level == "hardness":
-        lvl = _certified_level(spec, clauses, f)
+        lvl = _certified_level(spec, clauses)
         if lvl is None:
-            lvl = unsat_level(f, rec.hardness)
+            lvl = unsat_level(f)
         report["unsatisfiable"] = lvl is not None
         report["hardness"] = (lvl, rec.hardness)
         report["ok"] = report["ok"] and lvl == rec.hardness

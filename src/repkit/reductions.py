@@ -27,8 +27,8 @@ exactly k are probed: any other probe would survive without deriving
 anything, so the same literals fail in the same order.  r_k is confluent,
 so the trail's final assignment applied to F is exactly r_k(F).  r_inf
 probes each literal once on one trail, with the trail's DPLL as the test.
-`unsat_level` decides satisfiability and hd together: an r_j refutation
-proves F unsatisfiable, and DPLL runs on the same trail only if r_j leaves
+`unsat_level` decides satisfiability and hd together: an r_2 refutation
+proves F unsatisfiable, and DPLL runs on the same trail only if r_2 leaves
 it open.
 
 hd and whd are maxima over the falsifying assignments of the prime
@@ -116,20 +116,20 @@ def refutation_level(f: ClauseSet) -> int:
     return level
 
 
-def unsat_level(f: ClauseSet, j: int = 2) -> int | None:
+def unsat_level(f: ClauseSet) -> int | None:
     """hd(F) for unsatisfiable F, None for satisfiable F.
 
-    One trail of F is closed under r_2, ..., r_j.  A refutation there is the
-    proof that F is unsatisfiable, and its level is hd(F).  Only if the trail
-    is still open does DPLL (`_Trail.model`) run on it, at that fixpoint: a
-    model means satisfiable, and otherwise the climb goes on from r_{j+1}.
+    One trail of F is closed under r_2.  A refutation there is the proof
+    that F is unsatisfiable, and its level is hd(F).  Only if the trail is
+    still open does DPLL (`_Trail.model`) run on it, at that fixpoint: a
+    model means satisfiable, and otherwise the climb goes on from r_3.
     """
     if BOT in f:
         return 0
     t = _Trail(f)
-    level = t.raise_to(j)
+    level = t.raise_to(2)
     if level is None and t.model() is None:
-        level = t.raise_to(len(t.vars), start=j + 1)
+        level = t.raise_to(len(t.vars), start=3)
     return level
 
 

@@ -103,7 +103,15 @@ def xor_chain(lits: list[int], first_aux: int | None = None) -> TranslationResul
 
     Each link is given by its prime implicates; the last link is the
     two-clause equality of the final parity variable with the last literal.
+    Raises ValueError on the literal 0 and on a variable given twice.
     """
+    seen: set[int] = set()
+    for x in lits:
+        if x == 0:
+            raise ValueError("bad XOR literal 0: 0 is not a literal")
+        if abs(x) in seen:
+            raise ValueError(f"bad XOR literal {x}: variable {abs(x)} occurs twice")
+        seen.add(abs(x))
     n = len(lits)
     if n == 0:
         return TranslationResult(frozenset(), (), {}, "xor")

@@ -8,7 +8,6 @@ import pytest
 import repkit as rk
 from repkit import bench, cli, core
 from helpers import REFERENCE_TABLE, REFERENCE_ALPHA, ref_leaf_depth_sum, ref_verify
-from test_splitting import splitting_level
 
 
 def test_stats_against_frozen_table():
@@ -131,7 +130,7 @@ def test_bulk_builders_make_no_reference_cycles():
     assert gc.collect() == 0
     assert core.parse_dimacs(text)[0] == clauses
     assert gc.collect() == 0
-    assert bench._certified_level(spec, clauses, frozenset(clauses)) == 2
+    assert bench._certified_level(spec, clauses) == 2
     assert gc.collect() == 0
 
 
@@ -150,6 +149,19 @@ def test_default_grid():
     for k, h in grid:
         for variant in (1, 2, 3):
             assert bench.stats(bench.InstanceSpec(k, h, variant)).l <= 50_000_000
+
+
+HUGE = bench.InstanceSpec(2, 20000, 1)   # 200,010,001 leaves
+
+
+@pytest.mark.parametrize("fn", [bench.generate, bench.verify, bench.instance_dimacs],
+                         ids=lambda f: f.__name__)
+def test_a_row_above_the_literal_limit_is_refused_before_it_is_built(fn):
+    with pytest.raises(core.SizeLimitExceeded) as e:
+        fn(HUGE)
+    l = bench.stats(HUGE).l
+    assert l > 5 * 10 ** 12
+    assert (e.value.budget, e.value.limit, e.value.progress) == ("literals", 50_000_000, l)
 
 
 def test_verify_levels():
@@ -177,13 +189,13 @@ def test_verify_equals_the_dpll_first_reference(k, h, variant):
 
 
 def spy_on_search(monkeypatch) -> list[int]:
-    """Record the claimed level of each call of the search fallback."""
+    """Record the clause count of each call of the search fallback."""
     calls = []
     search = bench.unsat_level
 
-    def spy(f, j=2):
-        calls.append(j)
-        return search(f, j)
+    def spy(f):
+        calls.append(len(f))
+        return search(f)
 
     monkeypatch.setattr(bench, "unsat_level", spy)
     return calls
@@ -204,6 +216,21 @@ def test_verify_runs_no_dpll_when_the_claim_holds(monkeypatch):
     for k, h, variant in VERIFIED_SPECS:
         assert bench.verify(bench.InstanceSpec(k, h, variant), "hardness")["ok"] is True
     assert calls == [] and searches == []
+
+
+@pytest.mark.parametrize("k,h,variant", VERIFIED_SPECS)
+def test_the_certificate_route_builds_no_trail(monkeypatch, k, h, variant):
+    """Neither bound of the certificate uses the propagation engine."""
+    built = []
+    init = core._Trail.__init__
+
+    def spy(t, *args, **kwargs):
+        built.append(t)
+        init(t, *args, **kwargs)
+
+    monkeypatch.setattr(core._Trail, "__init__", spy)
+    assert bench.verify(bench.InstanceSpec(k, h, variant), "hardness")["ok"] is True
+    assert built == []
 
 
 def claim(monkeypatch, delta):
@@ -246,7 +273,7 @@ def test_verify_on_a_satisfiable_instance(monkeypatch):
         rep = assert_verify_matches_reference(bench.InstanceSpec(k, h, 1))
         assert rep["unsatisfiable"] is False and rep["hardness"] == (None, k + 1)
         assert rep["ok"] is False
-    assert searches == [3, 4]
+    assert len(searches) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +282,8 @@ def test_verify_on_a_satisfiable_instance(monkeypatch):
 
 def certificate(spec):
     clauses, _ = bench.generate(spec)
-    level, proof, phi = bench._certificate(spec, clauses)
-    return clauses, level, proof, phi
+    level, proof = bench._certificate(spec, clauses)
+    return clauses, level, proof
 
 
 def test_the_checker_returns_the_horton_strahler_number():
@@ -266,7 +293,7 @@ def test_the_checker_returns_the_horton_strahler_number():
     proof = [(0, [(1, 2)]), (2, [(3, 2)]), (4, [(5, 1)])]
     assert bench._check_refutation(full2, proof, 2) == 2
     for spec in [bench.InstanceSpec(2, 5, 1), bench.InstanceSpec(3, 6, 1), bench.InstanceSpec(2, 5, 3)]:
-        clauses, level, proof, _ = certificate(spec)
+        clauses, level, proof = certificate(spec)
         assert bench._check_refutation(clauses, proof, level) == level
 
 
@@ -317,7 +344,7 @@ MUTATIONS = [wrong_pivot, past_the_end, negative_index, last_not_empty, one_too_
 @pytest.mark.parametrize("k,h,variant", [(2, 5, 1), (3, 5, 1), (2, 5, 2), (2, 6, 3)])
 def test_a_mutated_certificate_is_rejected_and_verify_falls_back(monkeypatch, mutate, k, h, variant):
     spec = bench.InstanceSpec(k, h, variant)
-    clauses, level, proof, phi = certificate(spec)
+    clauses, level, proof = certificate(spec)
     bad_level, bad_proof = mutate(level, proof, len(clauses))
     with pytest.raises(ValueError):
         bench._check_refutation(clauses, bad_proof, bad_level)
@@ -325,40 +352,33 @@ def test_a_mutated_certificate_is_rejected_and_verify_falls_back(monkeypatch, mu
     build = bench._certificate
 
     def mutated(spec, clauses):
-        level, proof, phi = build(spec, clauses)
-        return (*mutate(level, proof, len(clauses)), phi)
+        return mutate(*build(spec, clauses), len(clauses))
 
     monkeypatch.setattr(bench, "_certificate", mutated)
     searches = spy_on_search(monkeypatch)
     rep = assert_verify_matches_reference(spec)
-    assert rep["ok"] is True and searches == [level]
+    assert rep["ok"] is True and len(searches) == 1
 
 
-def test_a_restriction_that_keeps_too_little_is_rejected(monkeypatch):
-    """The lower bound is checked: with phi also setting the root label of
-    the tree it leaves, r_{L-1} refutes phi * F and verify falls back."""
-    spec = bench.InstanceSpec(2, 5, 1)
-    build = bench._certificate
+def test_a_clause_shorter_than_the_proof_level_is_rejected(monkeypatch):
+    """The lower bound is checked: with the last leaf's path clause, of k
+    literals, appended to G1, the proof still checks at k + 1, but the
+    shortest clause no longer bounds hd from below and verify falls back."""
+    generate = bench.generate
 
-    def more(spec, clauses):
-        level, proof, phi = build(spec, clauses)
-        v = min(abs(x) for c in rk.apply_assignment(phi, frozenset(clauses)) for x in c)
-        return level, proof, {**phi, v: 0}
+    def with_a_short_clause(spec):
+        clauses, n = generate(spec)
+        return clauses + [clauses[-1] - {n}], n   # n: the last leaf's doping variable
 
-    monkeypatch.setattr(bench, "_certificate", more)
+    monkeypatch.setattr(bench, "generate", with_a_short_clause)
     searches = spy_on_search(monkeypatch)
-    assert assert_verify_matches_reference(spec)["ok"] is True and searches == [3]
-
-
-@pytest.mark.parametrize("k,h", [(2, 5), (2, 12), (3, 5), (3, 6)])
-def test_the_g1_restriction_leaves_the_complete_tree_of_height_k(k, h):
-    spec = bench.InstanceSpec(k, h, 1)
-    clauses, level, _, phi = certificate(spec)
-    g = rk.apply_assignment(phi, frozenset(clauses))
-    assert len(phi) == h - k and len(g) == 2 ** (k + 1)
-    assert sorted(len(c) for c in g) == [k + 1] * 2 ** (k + 1)
-    if k == 2:
-        assert splitting_level(g) == level == k + 1
+    for k, h in [(2, 5), (3, 5)]:
+        spec = bench.InstanceSpec(k, h, 1)
+        clauses, level, proof = certificate(spec)
+        assert min(map(len, clauses)) == k and bench._check_refutation(clauses, proof, level) == k + 1
+        assert bench._certified_level(spec, clauses) is None
+        assert assert_verify_matches_reference(spec)["ok"] is False
+    assert len(searches) == 2
 
 
 @pytest.mark.parametrize("k,h,variant", [(2, 52, 1), (3, 23, 2), (2, 52, 3)])
@@ -368,7 +388,7 @@ def test_the_certificate_and_the_search_agree(monkeypatch, k, h, variant):
     rep = bench.verify(spec, "hardness")
     assert searches == [] and rep["ok"] is True
     clauses, _ = bench.generate(spec)
-    assert rk.unsat_level(frozenset(clauses), rep["hardness"][1]) == rep["hardness"][0]
+    assert rk.unsat_level(frozenset(clauses)) == rep["hardness"][0]
 
 
 # ---------------------------------------------------------------------------
@@ -638,6 +658,8 @@ def test_cli_errors_are_one_line_with_distinct_codes(tmp_path, capsys):
     many.write_text("p cnf 17 17\n" + "".join(f"{v} 0\n" for v in range(1, 18)))
     rc, err = run_cli_err(capsys, "mps", str(many), "--direct")
     assert rc == 4 and err.startswith("repkit: direct mps enumeration over 17 clauses")
+    rc, err = run_cli_err(capsys, "generate", "--k", "2", "--h", "20000", "--variant", "1")
+    assert rc == 4 and err.startswith("repkit: G1_k2_h20000 has ") and err.count("\n") == 1
 
     wide = tmp_path / "wide.cnf"  # p_hardness has no variable cap
     wide.write_text("p cnf 15 1\n" + " ".join(map(str, range(1, 16))) + " 0\n")
@@ -648,6 +670,9 @@ def test_cli_errors_are_one_line_with_distinct_codes(tmp_path, capsys):
     sat.write_text("p cnf 2 1\n1 2 0\n")
     rc, err = run_cli_err(capsys, "analyze", str(sat), "--measure", "hd-unsat")
     assert rc == 5 and err == "repkit: refutation_level requires an unsatisfiable clause-set\n"
+    for lits in ["0", "1 1 2", "1 2 -1"]:
+        rc, err = run_cli_err(capsys, "translate", "--mode", "xor", "--xor", lits)
+        assert rc == 5 and err.startswith("repkit: bad XOR literal ") and err.count("\n") == 1
 
     missing = tmp_path / "missing.cnf"
     rc, err = run_cli_err(capsys, "analyze", str(missing))

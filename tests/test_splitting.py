@@ -66,5 +66,18 @@ def test_splitting_level_equals_refutation_level_on_random_sets():
         assert splitting_level(f) == refutation_level(f), sorted(map(sorted, f))
 
 
+def test_splitting_level_is_at_least_the_shortest_clause_length():
+    """Setting one literal shortens each clause by at most one, so no
+    splitting tree of F has a Horton-Strahler number below the length of
+    F's shortest clause: the lower bound `bench.verify` certifies with."""
+    tight = set()
+    for f in random_unsatisfiable_sets(300, seed=16):
+        level, shortest = splitting_level(f), min(map(len, f))
+        assert level >= shortest, sorted(map(sorted, f))
+        if level == shortest:
+            tight.add(level)
+    assert tight == {1, 2}
+
+
 def test_splitting_level_of_the_two_xor_systems():
     assert [splitting_level(two_xor_system(n)) for n in (3, 4)] == [3, 4]

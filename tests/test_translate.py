@@ -138,6 +138,14 @@ def test_xor_chain_negative_literals():
         assert sat == ((bits[0] + (1 - bits[1]) + bits[2]) % 2 == 0)
 
 
+@pytest.mark.parametrize("lits, bad", [([0], "0"), ([1, 0, 2], "0"),
+                                       ([1, 1, 2], "1"), ([1, 2, -1], "-1")],
+                         ids=["zero", "zero-inside", "same-sign", "opposite-signs"])
+def test_xor_chain_rejects_zero_and_a_repeated_variable(lits, bad):
+    with pytest.raises(ValueError, match=f"bad XOR literal {bad}:"):
+        rk.xor_chain(lits)
+
+
 def test_two_xor_system():
     for n in (3, 4, 5):
         f = rk.two_xor_system(n)

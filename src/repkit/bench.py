@@ -23,11 +23,7 @@ from operator import neg
 from .core import Clause, SizeLimitExceeded, _nogc, emit_dimacs
 from .reductions import unsat_level
 from .translate import cant, cantm, complement_clauses
-from .trees import _extremal_fold, _fold, _labels, alpha, doped_tree, extremal_tree
-
-#: The most literals `generate` builds: the largest row of the paper's table,
-#: G2_k5_h35, has 49,595,888.
-_MAX_LITERALS = 50_000_000
+from .trees import _MAX_LITERALS, _fold, _labels, _leaf_depth_sum, alpha, doped_tree, extremal_tree
 
 #: A tree-resolution refutation as index chains.  Clause i < len(F) is the
 #: input clause F[i]; chain j derives clause len(F) + j.  A chain (start,
@@ -68,12 +64,6 @@ class StatsRecord:
     hardness: int
     b_hk: int     # binomial(h-k, floor((h-k)/2))
     b_m: int      # binomial(1+h-k, floor((1+h-k)/2)), m = 1+h-k leaves
-
-
-def _leaf_depth_sum(k: int, h: int) -> int:
-    """Sum of leaf depths of the extremal tree of parameters (k, h), by the
-    row DP of extremal_shape over (leaf count, leaf depth sum) pairs."""
-    return _extremal_fold(k, h, (1, 0), lambda l, r: (l[0] + r[0], sum(l) + sum(r)))[1]
 
 
 def stats(spec: InstanceSpec) -> StatsRecord:

@@ -47,6 +47,11 @@ TOP: ClauseSet = frozenset()
 #: The clause-set {bottom}.
 BOT_SET: ClauseSet = frozenset({BOT})
 
+#: The most DPLL nodes `_Trail.model` opens (and so `solve`, `is_satisfiable`).
+_MAX_DPLL_NODES = 1 << 22
+#: The most variables `canonical_dnf` enumerates the models over.
+_MAX_DNF_VARS = 20
+
 
 def _nogc(fn: Callable) -> Callable:
     """Run fn with the cyclic garbage collector disabled, and enable it again
@@ -70,14 +75,13 @@ def _nogc(fn: Callable) -> Callable:
 
 
 class SizeLimitExceeded(Exception):
-    """An enumeration or search exceeded its configured size budget.
+    """An enumeration or search exceeded its size limit.
 
-    Where set, `budget` names the budget that ran out, `limit` is its
-    configured size and `progress` the count that went past it.
+    `budget` names the budget that ran out, `limit` is its size and
+    `progress` the count that went past it.
     """
 
-    def __init__(self, message: str, *, budget: str | None = None,
-                 limit: int | None = None, progress: int | None = None):
+    def __init__(self, message: str, *, budget: str, limit: int, progress: int):
         super().__init__(message)
         self.budget, self.limit, self.progress = budget, limit, progress
 
@@ -335,14 +339,15 @@ class _Trail:
         """F under the trail's assignment."""
         return apply_assignment(self.assignment(), f)
 
-    def model(self, max_nodes: int = 1 << 22) -> Assignment | None:
+    def model(self) -> Assignment | None:
         """DPLL from the trail: its assignment extended to satisfy every
         clause, or None; the trail is left as it was.  Each decision opens a
         node (the root is one too).  Branching is on the smallest variable of
         a clause not yet satisfied, true first; the variables below a
         decision stay irrelevant beneath it, so the scan resumes after it.
+        Raises SizeLimitExceeded past _MAX_DPLL_NODES nodes.
         """
-        value, trail = self.value, self.trail
+        value, trail, max_nodes = self.value, self.trail, _MAX_DPLL_NODES
         occ: list[list[int]] = [[] for _ in value]   # literal code -> its clauses
         for ci, c in enumerate(self.clauses):
             for lit in c:
@@ -392,14 +397,14 @@ class _Trail:
             self.undo(base)
 
 
-def is_satisfiable(f: ClauseSet, max_nodes: int = 1 << 22) -> bool:
-    """DPLL on the trail; raises SizeLimitExceeded past max_nodes nodes."""
-    return solve(f, max_nodes) is not None
+def is_satisfiable(f: ClauseSet) -> bool:
+    """DPLL on the trail; raises SizeLimitExceeded past _MAX_DPLL_NODES nodes."""
+    return solve(f) is not None
 
 
-def solve(f: ClauseSet, max_nodes: int = 1 << 22) -> Assignment | None:
+def solve(f: ClauseSet) -> Assignment | None:
     """A satisfying partial assignment (total on the propagated part) or None."""
-    return _Trail(f).model(max_nodes)
+    return _Trail(f).model()
 
 
 def total_assignments(vs: Iterable[int]) -> Iterator[Assignment]:
@@ -422,15 +427,15 @@ def count_models(f: ClauseSet, vs: Iterable[int] | None = None) -> int:
     return sum(1 for _ in models(f, vs))
 
 
-def canonical_dnf(f: ClauseSet, max_vars: int = 20) -> ClauseSet:
+def canonical_dnf(f: ClauseSet) -> ClauseSet:
     """The canonical DNF of a CNF: one DNF clause per total model.
 
-    Exponential in n(F) by design; guarded by max_vars.
+    Exponential in n(F) by design; guarded by _MAX_DNF_VARS.
     """
     vs = variables(f)
-    if len(vs) > max_vars:
-        raise SizeLimitExceeded(f"canonical_dnf over {len(vs)} > {max_vars} variables",
-                                budget="variables", limit=max_vars, progress=len(vs))
+    if len(vs) > _MAX_DNF_VARS:
+        raise SizeLimitExceeded(f"canonical_dnf over {len(vs)} > {_MAX_DNF_VARS} variables",
+                                budget="variables", limit=_MAX_DNF_VARS, progress=len(vs))
     out = set()
     for phi in models(f, vs):
         out.add(frozenset(v if b else -v for v, b in phi.items()))

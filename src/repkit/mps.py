@@ -19,6 +19,9 @@ from .core import (
 )
 from .reductions import prime_implicates
 
+#: The most clauses `mps_subsets_direct` tests the 2^c subsets of.
+_MAX_DIRECT_CLAUSES = 16
+
 
 def pure_clause(f: ClauseSet) -> Clause:
     """puc(F): the literals of F occurring in one sign only."""
@@ -30,12 +33,16 @@ def pure_clause(f: ClauseSet) -> Clause:
 class DopedClauseSet:
     """A clause-set plus the bookkeeping of its doping variables.
 
-    clauses holds base clause union doping literal; doping_map maps each base
-    clause to its (positive) doping variable; ordered fixes an emission order.
+    doping_map maps each base clause to its (positive) doping variable;
+    ordered lists the doped clauses (base clause union doping literal) in
+    emission order, and clauses is their set.
     """
-    clauses: ClauseSet
     doping_map: dict[Clause, int]
     ordered: tuple[Clause, ...]
+
+    @property
+    def clauses(self) -> ClauseSet:
+        return frozenset(self.ordered)
 
     @property
     def base(self) -> ClauseSet:
@@ -61,7 +68,7 @@ def dope(f: ClauseSet) -> DopedClauseSet:
 def _doped(base: list[Clause], u0: int) -> DopedClauseSet:
     """The i-th base clause (0-based, in the given order) doped with u0 + i."""
     ordered = tuple(c | {u0 + i} for i, c in enumerate(base))
-    return DopedClauseSet(frozenset(ordered), {c: u0 + i for i, c in enumerate(base)}, ordered)
+    return DopedClauseSet({c: u0 + i for i, c in enumerate(base)}, ordered)
 
 
 @dataclass(frozen=True)
@@ -91,7 +98,7 @@ def is_mps(f: ClauseSet) -> MpsWitness | None:
     return MpsWitness(f, pure_clause(f))
 
 
-def mps_subsets(f: ClauseSet, max_clauses: int = 10 ** 6) -> frozenset[MpsWitness]:
+def mps_subsets(f: ClauseSet) -> frozenset[MpsWitness]:
     """All minimal premise subsets of F, via the prime implicates of D(F).
 
     Each prime implicate C of the doped set selects the base clauses whose
@@ -100,18 +107,18 @@ def mps_subsets(f: ClauseSet, max_clauses: int = 10 ** 6) -> frozenset[MpsWitnes
     d = dope(f)
     inv = d.inverse()
     out = set()
-    for c in prime_implicates(d.clauses, max_clauses):
+    for c in prime_implicates(d.clauses):
         subset = frozenset(inv[abs(x)] for x in c if abs(x) in inv)
         conclusion = frozenset(x for x in c if abs(x) not in inv)
         out.add(MpsWitness(subset, conclusion))
     return frozenset(out)
 
 
-def mps_subsets_direct(f: ClauseSet, max_clauses: int = 16) -> frozenset[MpsWitness]:
+def mps_subsets_direct(f: ClauseSet) -> frozenset[MpsWitness]:
     """Independent oracle: test every non-empty subset with is_mps."""
-    if len(f) > max_clauses:
+    if len(f) > _MAX_DIRECT_CLAUSES:
         raise SizeLimitExceeded(f"direct mps enumeration over {len(f)} clauses",
-                                budget="clauses", limit=max_clauses, progress=len(f))
+                                budget="clauses", limit=_MAX_DIRECT_CLAUSES, progress=len(f))
     cs = sorted(f, key=clause_key)
     out = set()
     for r in range(1, len(cs) + 1):

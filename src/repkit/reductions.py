@@ -60,6 +60,13 @@ from .core import (
 )
 
 
+#: The most resolvents one `_saturate` run generates: one prime-implicate
+#: closure, or one width of k-resolution.
+_MAX_RESOLVENTS = 10 ** 6
+#: The most variables `prime_implicates_bruteforce` scans 3^n clauses over.
+_MAX_BRUTEFORCE_VARS = 8
+
+
 def clear_caches() -> None:
     """Kept for callers that reset state between runs; nothing is cached."""
 
@@ -161,8 +168,7 @@ def _hd_level(f: ClauseSet, t: _Trail) -> Callable[[Clause], int | None]:
     return lambda c: 0 if c in f else _level_under(t, c, len(t.vars))
 
 
-def _max_over_prime_implicates(f: ClauseSet, t: _Trail, kind: str, level: Callable[[Clause], int],
-                               max_prime_clauses: int = 10 ** 6
+def _max_over_prime_implicates(f: ClauseSet, t: _Trail, kind: str, level: Callable[[Clause], int]
                                ) -> tuple[HardnessReport, ClauseSet]:
     """max over instantiations phi with phi * F unsatisfiable of level(C), the
     level of phi_C * F, and the prime implicates of F ({bot} if F, on trail t,
@@ -171,7 +177,7 @@ def _max_over_prime_implicates(f: ClauseSet, t: _Trail, kind: str, level: Callab
     enumerated; the witness is the phi_C of a maximizing C."""
     if t.model() is None:
         return HardnessReport(kind, level(BOT), _as_witness({})), BOT_SET
-    prime = prime_implicates(f, max_prime_clauses)
+    prime = prime_implicates(f)
     best, best_c = 0, None
     for c in sorted(prime, key=clause_key):
         lv = level(c)
@@ -181,30 +187,30 @@ def _max_over_prime_implicates(f: ClauseSet, t: _Trail, kind: str, level: Callab
     return HardnessReport(kind, best, witness), prime  # witness None: tautology
 
 
-def hardness(f: ClauseSet, max_prime_clauses: int = 10 ** 6) -> HardnessReport:
+def hardness(f: ClauseSet) -> HardnessReport:
     """hd(F): max over instantiations phi with phi * F unsatisfiable of the
     refutation level of phi * F."""
     t = _Trail(f)
-    return _max_over_prime_implicates(f, t, "hd", _hd_level(f, t), max_prime_clauses)[0]
+    return _max_over_prime_implicates(f, t, "hd", _hd_level(f, t))[0]
 
 
-def w_refutation_level(f: ClauseSet, max_clauses: int = 10 ** 6) -> int:
+def w_refutation_level(f: ClauseSet) -> int:
     """whd(F) for unsatisfiable F: minimal k admitting a k-resolution
     refutation (each step uses a parent of length <= k)."""
     if BOT in f:
         return 0
     for k in range(1, len(variables(f)) + 1):
-        if _saturate(f, k, max_clauses) is BOT_SET:
+        if _saturate(f, k) is BOT_SET:
             return k
     raise ValueError("w_refutation_level requires an unsatisfiable clause-set")
 
 
-def w_hardness(f: ClauseSet, max_prime_clauses: int = 10 ** 6) -> HardnessReport:
+def w_hardness(f: ClauseSet) -> HardnessReport:
     """whd(F): like hardness, with k-resolution refutation levels."""
     def level(c: Clause) -> int:
         return w_refutation_level(apply_assignment(falsifying_assignment(c), f))
 
-    return _max_over_prime_implicates(f, _Trail(f), "whd", level, max_prime_clauses)[0]
+    return _max_over_prime_implicates(f, _Trail(f), "whd", level)[0]
 
 
 def p_hardness(f: ClauseSet) -> HardnessReport:
@@ -227,7 +233,7 @@ def p_hardness(f: ClauseSet) -> HardnessReport:
     C runs in clause_key order and x in scan order; the first phi_{C - x}
     that fails is the witness of value hd + 1, an instance on which r_hd
     and r_inf differ.  The witness of value hd is the empty assignment.
-    Its only size bound is the 10^6-resolvent budget of `hardness`.
+    Its only size bound is the _MAX_RESOLVENTS budget of `hardness`.
     """
     t = _Trail(f)
     rep, prime = _max_over_prime_implicates(f, t, "hd", _hd_level(f, t))
@@ -253,7 +259,7 @@ def relative_hardness(f: ClauseSet, vs: frozenset[int] | set[int]) -> int:
     this is `hardness` with every other prime implicate counting 0.  Like
     `hardness`, it is bounded where a walk over the images phi * F is not:
     it raises SizeLimitExceeded once the prime implicates take more than
-    10^6 resolvents.
+    _MAX_RESOLVENTS resolvents.
     """
     vs = frozenset(vs)
     t = _Trail(f)
@@ -275,18 +281,19 @@ def split_hardness_bound(f: ClauseSet, vs: frozenset[int] | set[int]) -> int:
 # resolution: prime implicates and k-resolution
 # ---------------------------------------------------------------------------
 
-def prime_implicates(f: ClauseSet, max_clauses: int = 10 ** 6) -> ClauseSet:
+def prime_implicates(f: ClauseSet) -> ClauseSet:
     """primec_0(F): resolution closure, keeping subsumption-minimal clauses.
 
     Returns {bot} for unsatisfiable F and the empty set for tautologies.
     """
-    return _saturate(f, None, max_clauses)
+    return _saturate(f, None)
 
 
-def _saturate(f: ClauseSet, k: int | None, max_clauses: int) -> ClauseSet:
+def _saturate(f: ClauseSet, k: int | None) -> ClauseSet:
     """Resolution closure of F with subsumption: {bot} once the empty clause
     is derived, else the subsumption-minimal clauses (primec_0(F) when k is
     None).  With a width k each step needs a parent of length <= k.
+    Raises SizeLimitExceeded past _MAX_RESOLVENTS resolvents.
 
     A clause is an int bitmask over sorted(var(F)): bit 2i is the i-th
     variable and bit 2i + 1 its negation.  Swapping the even and odd bits
@@ -309,7 +316,7 @@ def _saturate(f: ClauseSet, k: int | None, max_clauses: int) -> ClauseSet:
     by_top: dict[int, set[int]] = {}              # highest bit -> clauses of db
     pending = deque(sum(map(bit.__getitem__, c)) for c in sorted(f, key=clause_key))
     queued = set(pending)
-    generated = 0
+    generated, max_clauses = 0, _MAX_RESOLVENTS
     while pending:
         c = pending.popleft()
         if not c:
@@ -350,15 +357,15 @@ def _saturate(f: ClauseSet, k: int | None, max_clauses: int) -> ClauseSet:
                      for bucket in by_top.values() for d in bucket)
 
 
-def prime_implicates_bruteforce(f: ClauseSet, max_vars: int = 8) -> ClauseSet:
+def prime_implicates_bruteforce(f: ClauseSet) -> ClauseSet:
     """Independent oracle: all entailed clauses over var(F), minimized.
 
     Exponential scan of all 3^n candidate clauses; for cross-checking only.
     """
     vs = sorted(variables(f))
-    if len(vs) > max_vars:
+    if len(vs) > _MAX_BRUTEFORCE_VARS:
         raise SizeLimitExceeded(f"bruteforce prime implicates over {len(vs)} variables",
-                                budget="variables", limit=max_vars, progress=len(vs))
+                                budget="variables", limit=_MAX_BRUTEFORCE_VARS, progress=len(vs))
     t = _Trail(f)
     mark, implicates = len(t.trail), []
     stack: list[tuple[int, tuple[int, ...]]] = [(0, ())]
@@ -377,13 +384,13 @@ def prime_implicates_bruteforce(f: ClauseSet, max_vars: int = 8) -> ClauseSet:
                      if not any(d < c for d in implicates))
 
 
-def essential_prime_implicates(f: ClauseSet, max_clauses: int = 10 ** 6) -> ClauseSet:
+def essential_prime_implicates(f: ClauseSet) -> ClauseSet:
     """Prime implicates whose removal from primec_0(F) loses equivalence.
 
     Every equivalent clause-set using subclauses of prime implicates needs at
     least this many clauses.
     """
-    prime = prime_implicates(f, max_clauses)
+    prime = prime_implicates(f)
     return prime if prime == BOT_SET else _essential(prime)
 
 

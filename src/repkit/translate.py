@@ -14,19 +14,25 @@ import itertools
 from dataclasses import dataclass
 
 from .core import (
-    Assignment, BOT, BOT_SET, Clause, ClauseSet, SizeLimitExceeded, _Trail,
+    Assignment, BOT, Clause, ClauseSet, SizeLimitExceeded, _Trail,
     clause, clause_key, complement, is_satisfiable, total_assignments, variables,
 )
 from .mps import DopedClauseSet
 from .reductions import _essential, _level_under
 
+#: The most variables, original and new, `extension_property` enumerates.
+_MAX_EXTENSION_VARS = 18
+
 
 @dataclass
 class TranslationResult:
-    clauses: ClauseSet
     ordered: tuple[Clause, ...]               # deterministic emission order
     new_vars: dict[int, Clause]               # fresh variable -> source clause
     kind: str
+
+    @property
+    def clauses(self) -> ClauseSet:
+        return frozenset(self.ordered)
 
 
 def _dnf_order(dnf) -> list[Clause]:
@@ -53,7 +59,7 @@ def _selector_translation(dnf, first_new_var: int | None, kind: str) -> Translat
     for c in order:
         clause(*c)  # validation
     if not order:                      # empty disjunction: constant false
-        return TranslationResult(BOT_SET, (BOT,), {}, kind)
+        return TranslationResult((BOT,), {}, kind)
     v0 = (max((abs(x) for c in order for x in c), default=0) + 1
           if first_new_var is None else first_new_var)
     new_vars = {v0 + i: c for i, c in enumerate(order)}
@@ -64,7 +70,7 @@ def _selector_translation(dnf, first_new_var: int | None, kind: str) -> Translat
         out += [frozenset({v0 + i}) | complement(c) for i, c in enumerate(order)]
     out.append(frozenset(v0 + i for i in range(len(order))))
     ordered = tuple(dict.fromkeys(out))
-    return TranslationResult(frozenset(ordered), ordered, new_vars, kind)
+    return TranslationResult(ordered, new_vars, kind)
 
 
 def complement_clauses(clauses) -> list[Clause]:
@@ -114,13 +120,12 @@ def xor_chain(lits: list[int], first_aux: int | None = None) -> TranslationResul
         seen.add(abs(x))
     n = len(lits)
     if n == 0:
-        return TranslationResult(frozenset(), (), {}, "xor")
+        return TranslationResult((), {}, "xor")
     if n == 1:
-        c = frozenset({-lits[0]})
-        return TranslationResult(frozenset({c}), (c,), {}, "xor")
+        return TranslationResult((frozenset({-lits[0]}),), {}, "xor")
     if n == 2:
         out = (frozenset({lits[0], -lits[1]}), frozenset({-lits[0], lits[1]}))
-        return TranslationResult(frozenset(out), out, {}, "xor")
+        return TranslationResult(out, {}, "xor")
     y0 = (max(abs(x) for x in lits) + 1) if first_aux is None else first_aux
     ys = list(range(y0, y0 + n - 2))           # y_2 .. y_{n-1}
     out: list[Clause] = []
@@ -129,7 +134,7 @@ def xor_chain(lits: list[int], first_aux: int | None = None) -> TranslationResul
         out += _parity_link(ys[i - 2], lits[i], ys[i - 1])
     out += [frozenset({ys[-1], -lits[n - 1]}), frozenset({-ys[-1], lits[n - 1]})]
     new_vars = {y: frozenset(lits[:i + 2]) for i, y in enumerate(ys)}
-    return TranslationResult(frozenset(out), tuple(out), new_vars, "xor")
+    return TranslationResult(tuple(out), new_vars, "xor")
 
 
 def two_xor_system(n: int) -> ClauseSet:
@@ -188,8 +193,7 @@ def k_base(prime: ClauseSet, k: int) -> ClauseSet:
 # uniqueness of extensions
 # ---------------------------------------------------------------------------
 
-def extension_property(fp: ClauseSet, original_vars, dnf=None,
-                       max_vars: int = 18) -> str:
+def extension_property(fp: ClauseSet, original_vars, dnf=None) -> str:
     """Classify how satisfying assignments of the represented function extend
     to the translation fp: "strong_uep", "uep", or "none".
 
@@ -202,9 +206,9 @@ def extension_property(fp: ClauseSet, original_vars, dnf=None,
     orig = sorted(set(original_vars))
     aux = sorted(variables(fp) - set(orig))
     n = len(orig) + len(aux)
-    if n > max_vars:
+    if n > _MAX_EXTENSION_VARS:
         raise SizeLimitExceeded("extension_property enumeration too large",
-                                budget="variables", limit=max_vars, progress=n)
+                                budget="variables", limit=_MAX_EXTENSION_VARS, progress=n)
 
     def extensions(phi: Assignment) -> int:
         """The number of total psi on the new variables with phi + psi making

@@ -18,8 +18,12 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from math import comb
 
-from .core import Clause, ClauseSet
+from .core import Clause, ClauseSet, SizeLimitExceeded
 from .mps import DopedClauseSet, _doped
+
+#: The most literals `extremal_shape` and `bench.generate` build: the largest
+#: row of the paper's table, G2_k5_h35, has 49,595,888.
+_MAX_LITERALS = 50_000_000
 
 
 class NotSmu1Error(ValueError):
@@ -221,9 +225,22 @@ def _extremal_fold(k: int, h: int, leaf, inner):
     return row[k]
 
 
+def _leaf_depth_sum(k: int, h: int) -> int:
+    """Sum of leaf depths of the extremal tree of parameters (k, h), by the
+    row DP of extremal_shape over (leaf count, leaf depth sum) pairs."""
+    return _extremal_fold(k, h, (1, 0), lambda l, r: (l[0] + r[0], sum(l) + sum(r)))[1]
+
+
 def extremal_shape(k: int, h: int) -> Tree:
     """An unlabelled maximal-leaf-count tree of Horton-Strahler k, height h;
-    the subtree of larger Horton-Strahler number goes left."""
+    the subtree of larger Horton-Strahler number goes left.  Raises
+    SizeLimitExceeded, before building anything, when its leaf depths, the
+    literals of smuo(T), sum to more than _MAX_LITERALS."""
+    l = _leaf_depth_sum(k, h)
+    if l > _MAX_LITERALS:
+        raise SizeLimitExceeded(f"the extremal tree k={k} h={h} has {l} literals, "
+                                f"above the limit of {_MAX_LITERALS}",
+                                budget="literals", limit=_MAX_LITERALS, progress=l)
     return _extremal_fold(k, h, LEAF, lambda l, r: Tree(0, l, r))
 
 

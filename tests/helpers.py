@@ -163,7 +163,8 @@ def ref_solve(f: ClauseSet, max_nodes: int = 1 << 22):
     def go(g: ClauseSet, phi):
         budget[0] -= 1
         if budget[0] < 0:
-            raise SizeLimitExceeded("DPLL node budget exhausted")
+            raise SizeLimitExceeded("DPLL node budget exhausted", budget="DPLL node",
+                                    limit=max_nodes, progress=max_nodes - budget[0])
         while True:
             if BOT in g:
                 return None
@@ -236,7 +237,8 @@ def ref_saturate(f: ClauseSet, k: int | None, max_clauses: int) -> ClauseSet:
         db.append(c)
         if generated > max_clauses:
             budget = "resolution" if k is None else f"k-resolution (width k = {k})"
-            raise SizeLimitExceeded(f"{budget} budget of {max_clauses} resolvents exhausted")
+            raise SizeLimitExceeded(f"{budget} budget of {max_clauses} resolvents exhausted",
+                                    budget=budget, limit=max_clauses, progress=generated)
     return frozenset(db)
 
 
@@ -349,7 +351,8 @@ def ref_image_w_hardness(f: ClauseSet) -> HardnessReport:
 def ref_image_p_hardness(f: ClauseSet, max_vars: int = 14) -> HardnessReport:
     n = len(variables(f))
     if n > max_vars:
-        raise SizeLimitExceeded(f"p_hardness over {n} > {max_vars} variables")
+        raise SizeLimitExceeded(f"p_hardness over {n} > {max_vars} variables",
+                                budget="variables", limit=max_vars, progress=n)
     rep, prime = _ref_image_max(f, "hd", refutation_level)
     hd = rep.value
     for c in sorted(prime, key=clause_key):

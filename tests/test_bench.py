@@ -660,6 +660,9 @@ def test_cli_errors_are_one_line_with_distinct_codes(tmp_path, capsys):
     assert rc == 4 and err.startswith("repkit: direct mps enumeration over 17 clauses")
     rc, err = run_cli_err(capsys, "generate", "--k", "2", "--h", "20000", "--variant", "1")
     assert rc == 4 and err.startswith("repkit: G1_k2_h20000 has ") and err.count("\n") == 1
+    rc, err = run_cli_err(capsys, "tree", "--k", "2", "--h", "20000")
+    assert rc == 4 and err == ("repkit: the extremal tree k=2 h=20000 has 2667066680000 literals,"
+                               " above the limit of 50000000\n")
 
     wide = tmp_path / "wide.cnf"  # p_hardness has no variable cap
     wide.write_text("p cnf 15 1\n" + " ".join(map(str, range(1, 16))) + " 0\n")

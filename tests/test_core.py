@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import repkit as rk
+from repkit import core
 from helpers import outcome, ref_emit_dimacs, ref_parse_dimacs
 
 
@@ -65,13 +66,24 @@ def test_solve_deep_search_does_not_recurse():
     assert phi is not None and rk.apply_assignment(phi, f) == rk.TOP
 
 
-def test_dpll_budget_names_the_budget_limit_and_progress():
+def test_dpll_budget_names_the_budget_limit_and_progress(monkeypatch):
     f = rk.clause_set([[1, 2], [-1, 2], [1, -2], [-1, -2]])
     for m in (1, 2):
+        monkeypatch.setattr(core, "_MAX_DPLL_NODES", m)
         with pytest.raises(rk.SizeLimitExceeded, match="^DPLL node budget exhausted$") as info:
-            rk.solve(f, m)
+            rk.solve(f)
         assert (info.value.budget, info.value.limit, info.value.progress) == ("DPLL node", m, m + 1)
-    assert rk.solve(f, 3) is None
+    monkeypatch.setattr(core, "_MAX_DPLL_NODES", 3)
+    assert rk.solve(f) is None
+
+
+def test_size_limit_exceeded_requires_budget_limit_and_progress():
+    fields = {"budget": "variables", "limit": 2, "progress": 3}
+    e = rk.SizeLimitExceeded("too large", **fields)
+    assert (str(e), e.budget, e.limit, e.progress) == ("too large", "variables", 2, 3)
+    for name in fields:
+        with pytest.raises(TypeError):
+            rk.SizeLimitExceeded("too large", **{k: v for k, v in fields.items() if k != name})
 
 
 def test_models_and_canonical_dnf():

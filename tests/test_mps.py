@@ -33,7 +33,7 @@ def test_dope_shape():
     # the emission order lists exactly the doped clauses, and must be given
     assert frozenset(d.ordered) == d.clauses and len(d.ordered) == len(f)
     with pytest.raises(TypeError):
-        rk.DopedClauseSet(d.clauses, d.doping_map)
+        rk.DopedClauseSet(d.doping_map)
 
 
 def test_dope_inverse():

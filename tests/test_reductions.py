@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repkit as rk
-from repkit import reductions
+from repkit import core, mps, reductions, translate
 from helpers import (
     all_shapes,
     outcome,
@@ -190,9 +190,9 @@ def test_w_refutation_level_skips_the_width_0_pass(monkeypatch):
     widths = []
     kernel = reductions._saturate
 
-    def spy(f, k, max_clauses):
+    def spy(f, k):
         widths.append(k)
-        return kernel(f, k, max_clauses)
+        return kernel(f, k)
 
     monkeypatch.setattr(reductions, "_saturate", spy)
     assert rk.w_refutation_level(rk.clause_set([[1], [-1, 2], [-2]])) == 1
@@ -215,28 +215,34 @@ def test_w_refutation_level_skips_the_width_0_pass(monkeypatch):
         if rng.random() < .1:
             f |= {rk.BOT}
         for m in (0, 1, 4, 10 ** 6):
-            want, got = (outcome(loop, f, m) for loop in (parent_loop, rk.w_refutation_level))
-            assert got == want
+            monkeypatch.setattr(reductions, "_MAX_RESOLVENTS", m)
+            assert outcome(rk.w_refutation_level, f) == outcome(parent_loop, f, m)
 
 
 F3 = rk.clause_set([[1, 2], [-2, 3], [-1, -3]])
 
 
-@pytest.mark.parametrize("call, message, fields", [
-    (lambda: rk.canonical_dnf(F3, max_vars=2),
+@pytest.mark.parametrize("limit, call, message, fields", [
+    ((core, "_MAX_DNF_VARS", 2), lambda: rk.canonical_dnf(F3),
      "canonical_dnf over 3 > 2 variables", ("variables", 2, 3)),
-    (lambda: rk.mps_subsets_direct(F3, max_clauses=2),
+    ((mps, "_MAX_DIRECT_CLAUSES", 2), lambda: rk.mps_subsets_direct(F3),
      "direct mps enumeration over 3 clauses", ("clauses", 2, 3)),
-    (lambda: rk.prime_implicates_bruteforce(F3, max_vars=2),
+    ((reductions, "_MAX_BRUTEFORCE_VARS", 2), lambda: rk.prime_implicates_bruteforce(F3),
      "bruteforce prime implicates over 3 variables", ("variables", 2, 3)),
-    (lambda: rk.extension_property(F3, {1}, max_vars=2),
+    ((translate, "_MAX_EXTENSION_VARS", 2), lambda: rk.extension_property(F3, {1}),
      "extension_property enumeration too large", ("variables", 2, 3)),
-    (lambda: rk.depth_k_incomparable_family(rk.extremal_tree(2, 6), 1),
+    (None, lambda: rk.depth_k_incomparable_family(rk.extremal_tree(2, 6), 1),
      "depth_k_incomparable_family over 4194303 > 1048576 implicates",
      ("implicates", 1 << 20, (1 << 22) - 1)),
+    (None, lambda: rk.extremal_tree(2, 20000),
+     "the extremal tree k=2 h=20000 has 2667066680000 literals, above the limit of 50000000",
+     ("literals", 50_000_000, 2667066680000)),
 ], ids=["canonical_dnf", "mps_subsets_direct", "prime_implicates_bruteforce",
-        "extension_property", "depth_k_incomparable_family"])
-def test_size_guards_name_the_budget_and_limit(call, message, fields):
+        "extension_property", "depth_k_incomparable_family", "extremal_tree"])
+def test_size_guards_name_the_budget_and_limit(monkeypatch, limit, call, message, fields):
+    if limit is not None:                      # (module, constant, lowered value)
+        module, name, value = limit
+        monkeypatch.setattr(module, name, value)
     with pytest.raises(rk.SizeLimitExceeded) as info:
         call()
     assert str(info.value) == message
@@ -254,23 +260,26 @@ def test_prime_implicates_vs_bruteforce():
         assert rk.prime_implicates(f) == rk.prime_implicates_bruteforce(f)
 
 
-def test_resolution_budgets_name_the_budget_and_limit():
+def test_resolution_budgets_name_the_budget_and_limit(monkeypatch):
     f = rk.two_xor_system(4)
+    monkeypatch.setattr(reductions, "_MAX_RESOLVENTS", 30)
     with pytest.raises(rk.SizeLimitExceeded,
                        match=r"^resolution budget of 30 resolvents exhausted$") as info:
-        rk.prime_implicates(f, max_clauses=30)
+        rk.prime_implicates(f)
     assert (info.value.budget, info.value.limit, info.value.progress) == ("resolution", 30, 32)
     # width 2 needs at most 30 resolvents, width 3 more
     reductions.clear_caches()
     with pytest.raises(rk.SizeLimitExceeded,
                        match=r"^k-resolution \(width k = 3\) budget of 30 resolvents exhausted$") as info:
-        rk.w_refutation_level(f, max_clauses=30)
+        rk.w_refutation_level(f)
     assert (info.value.budget, info.value.limit, info.value.progress) == \
         ("k-resolution (width k = 3)", 30, 32)
+    monkeypatch.setattr(reductions, "_MAX_RESOLVENTS", 3)
     with pytest.raises(rk.SizeLimitExceeded, match=r"width k = 2\) budget of 3 ") as info:
-        rk.w_refutation_level(f, max_clauses=3)
+        rk.w_refutation_level(f)
     assert (info.value.budget, info.value.limit, info.value.progress) == \
         ("k-resolution (width k = 2)", 3, 4)
+    monkeypatch.undo()
     assert rk.w_refutation_level(f) == 3  # as whd_by_closure finds, in about 12 s
 
 
@@ -283,7 +292,9 @@ def assert_kernel_matches_frozen(f, budgets=(10 ** 6,)):
             except rk.SizeLimitExceeded as e:
                 want = str(e)
             try:
-                got = reductions._saturate(f, k, m)
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(reductions, "_MAX_RESOLVENTS", m)
+                    got = reductions._saturate(f, k)
             except rk.SizeLimitExceeded as e:
                 got = str(e)
                 assert got == f"{e.budget} budget of {m} resolvents exhausted"

@@ -4,6 +4,7 @@ import random
 import pytest
 
 import repkit as rk
+from repkit import translate
 from helpers import outcome, random_dnf, ref_extension_property, ref_refutation_level
 
 
@@ -113,7 +114,7 @@ def test_negate_doped():
 
 def test_negate_doped_rejects_bad_input():
     f = rk.clause_set([[1, 2], [1, 3]])  # not unsatisfiable after undoping
-    d = rk.DopedClauseSet(f, {rk.clause(1): 2, rk.clause(1, 3) - {3}: 3}, tuple(f))
+    d = rk.DopedClauseSet({rk.clause(1): 2, rk.clause(1, 3) - {3}: 3}, tuple(f))
     with pytest.raises(ValueError):
         rk.negate_doped(d)
 
@@ -199,8 +200,10 @@ def test_extension_property_matches_the_image_count():
         vs = {abs(x) for c in g for x in c} | set(rng.sample(range(1, 7), rng.randint(0, 1)))
         for translation in (rk.cant, rk.cantm):
             fp = translation(g).clauses
-            for args in ((fp, vs), (fp, vs, g), (fp, vs, g, 6)):  # 6: the max_vars guard
-                got = outcome(rk.extension_property, *args)
-                assert got == outcome(ref_extension_property, *args), (g, vs, args[2:])
+            for dnf, limit in ((None, 18), (g, 18), (g, 6)):  # 6: a lowered variable limit
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(translate, "_MAX_EXTENSION_VARS", limit)
+                    got = outcome(rk.extension_property, fp, vs, dnf)
+                assert got == outcome(ref_extension_property, fp, vs, dnf, limit), (g, vs, dnf, limit)
                 seen.add(got if isinstance(got, str) else got[0])
     assert seen == {"none", "uep", "strong_uep", "SizeLimitExceeded"}

@@ -124,6 +124,21 @@ def test_extremal_tree_shape():
         assert rk.tree_labels(t) == set(range(1, rk.inner_count(t) + 1))
 
 
+def test_extremal_tree_is_refused_above_the_literal_limit(monkeypatch):
+    # the limit counts the literals of smuo(T), the tree's leaf depths
+    for k, h in [(1, 5), (2, 6), (3, 7)]:
+        l = trees._leaf_depth_sum(k, h)
+        monkeypatch.setattr(trees, "_MAX_LITERALS", l)
+        t = rk.extremal_tree(k, h)
+        assert t == ref_label_bfs(ref_extremal_shape(k, h))
+        assert sum(map(len, rk.tree_clauses(t))) == l
+        monkeypatch.setattr(trees, "_MAX_LITERALS", l - 1)
+        for build in (rk.extremal_shape, rk.extremal_tree):
+            with pytest.raises(rk.SizeLimitExceeded, match=f"^the extremal tree k={k} h={h} has {l} ") as e:
+                build(k, h)
+            assert (e.value.budget, e.value.limit, e.value.progress) == ("literals", l - 1, l)
+
+
 def test_extremal_tree_bfs_labels():
     t = rk.extremal_tree(2, 3)
     assert t.var == 1

@@ -16,21 +16,21 @@ order.  Generation is bit-deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
 from math import comb
 from operator import neg
 
 from .core import Clause, SizeLimitExceeded, _nogc, emit_dimacs
 from .reductions import unsat_level
 from .translate import cant, cantm, complement_clauses
-from .trees import _MAX_LITERALS, _fold, _labels, _leaf_depth_sum, alpha, doped_tree, extremal_tree
+from .trees import _MAX_LITERALS, _leaf_depth_sum, alpha, doped_tree, extremal_tree
 
-#: A tree-resolution refutation as index chains.  Clause i < len(F) is the
-#: input clause F[i]; chain j derives clause len(F) + j.  A chain (start,
-#: steps) begins at clause start and resolves the running clause, for each
-#: (antecedent, p) in turn, with the antecedent on the pivot p: the running
-#: clause holds p, the antecedent -p.
-Proof = list[tuple[int, list[tuple[int, int]]]]
+#: A tree-resolution refutation as index chains, in the manner of LRAT
+#: hints.  Clause i < len(F) is the input clause F[i]; chain j derives
+#: clause len(F) + j.  A chain (start, antecedents) begins at clause start
+#: and resolves the running clause with each antecedent in turn, on the one
+#: literal of the antecedent whose complement the running clause holds.
+Proof = list[tuple[int, list[int] | range]]
 
 
 @dataclass(frozen=True)
@@ -131,48 +131,47 @@ def default_grid() -> list[tuple[int, int]]:
 
 
 def _certificate(spec: InstanceSpec, clauses: list[Clause]) -> tuple[int, Proof]:
-    """A refutation of the generated clause list, read off the generator's
-    clause layout, with the Horton-Strahler number it claims.
+    """A refutation of the generated clause list, read off its layout and
+    clause lengths, with the Horton-Strahler number it claims.
 
-    G1 (F' then F, leaf order): each leaf's pair resolves on its doping
-    variable into the leaf's path clause, then each inner node's children
-    resolve on its label, children first; the Horton-Strahler number is
-    k + 1.
+    G1 (F' then F, leaf order): leaf i's pair (i, [a + i]) derives its path
+    clause, of len(F[i]) - 1 literals: the leaf's depth.  A full binary
+    tree is fixed by its leaf depths in leaf order, so while the stack's
+    top is as long as the new path clause, the two are siblings and (top,
+    [new]) derives their parent's; the number is k + 1.
 
     G2/G3 (F', the translation's binary selector clauses, ..., the long
     selector clause last): F'[i] resolves with its binary clauses
-    (-s_i, -l) into {-s_i}, Horton-Strahler number 1, and the long clause
-    with every {-s_i} into bot, number 2."""
+    (-s_i, -l) into {-s_i}, number 1, and the long clause with every
+    {-s_i} into bot, number 2."""
     a, m = alpha(spec.k, spec.h), len(clauses)
+    if spec.variant != 1:              # leaf i's binary clauses are b[i], ..., b[i + 1] - 1
+        b = list(accumulate((len(c) for c in clauses[:a]), initial=a))
+        return 2, [(i, range(b[i], b[i + 1])) for i in range(a)] + [(m - 1, range(m, m + a))]
     proof: Proof = []
-    if spec.variant != 1:
-        b = a                          # the first binary clause of leaf i
-        for i in range(a):
-            lits = sorted(clauses[i], key=abs)
-            proof.append((i, [(b + j, x) for j, x in enumerate(lits)]))
-            b += len(lits)
-        proof.append((m - 1, [(m + i, 2 * a + i) for i in range(a)]))
-        return 2, proof
-
-    def chain(start: int, ante: int, p: int) -> int:
-        """Append a one-step chain; the index of the clause it derives."""
-        proof.append((start, [(ante, p)]))
-        return m + len(proof) - 1
-
-    _fold(_labels(extremal_tree(spec.k, spec.h)),
-          lambda i: chain(i, a + i, -(a + i)), lambda v, l, r: chain(l, r, v))
+    stack: list[tuple[int, int]] = []  # (index, length) of the path clauses left of leaf i
+    for i in range(a):
+        proof.append((i, [a + i]))
+        d = len(clauses[i]) - 1
+        while stack and stack[-1][1] == d:  # the last derived clause and the top are siblings
+            proof.append((stack.pop()[0], [m + len(proof) - 1]))
+            d -= 1
+        stack.append((m + len(proof) - 1, d))
     return spec.k + 1, proof
 
 
 def _check_refutation(clauses: list[Clause], proof: Proof, level: int) -> int:
     """The Horton-Strahler number of a checked tree-resolution refutation
     of clauses (an input clause is 0; a resolvent is a + 1 when both its
-    parents are a, otherwise the larger of theirs).  Raises ValueError on
-    an index that names no input clause and no earlier, unused derived
-    clause, on a pivot missing from either side, on a clause holding a
-    literal and its complement, when the last derived clause is not empty,
-    and when the number exceeds the claimed level.  Each derived clause is
-    dropped at its one use, so the proof is a tree."""
+    parents are a, otherwise the larger of theirs).  Each antecedent c is
+    scanned once: the one literal q of c whose complement is in the running
+    clause is the clash, the others join it, then -q leaves it.  Raises
+    ValueError on an index that names no input clause and no earlier,
+    unused derived clause, on no clash or a second one, on -q in c (so on
+    every tautological antecedent), on a tautological input start clause,
+    when the last derived clause is not empty, and when the number exceeds
+    the claimed level.  Each derived clause is dropped at its one use, so
+    the proof is a tree."""
     m = len(clauses)
     derived: list[tuple[set[int], int] | None] = []
 
@@ -184,22 +183,27 @@ def _check_refutation(clauses: list[Clause], proof: Proof, level: int) -> int:
         got, derived[i - m] = derived[i - m], None
         return got
 
-    for start, steps in proof:
+    for start, antecedents in proof:
         run, hs = take(start)
         if start < m:
             run = set(run)
             if not run.isdisjoint(map(neg, run)):
                 raise ValueError(f"input clause {start} is tautological")
-        for ante, p in steps:
-            c, h = take(ante)
-            if p not in run or -p not in c:
-                raise ValueError(f"pivot {p} is not clashing")
-            run.discard(p)
-            for x in c:                # the rest of c joins run, clashing with nothing there
-                if x != -p:
-                    if -x in run or x == p:
-                        raise ValueError(f"the resolvent on {p} is tautological")
+        for i in antecedents:
+            c, h = take(i)
+            q = 0
+            for x in c:
+                if -x not in run:
                     run.add(x)
+                elif q:
+                    raise ValueError(f"clause {i} has a second clash with the running clause")
+                else:
+                    q = x
+            if not q:
+                raise ValueError(f"clause {i} has no clash with the running clause")
+            if -q in c:
+                raise ValueError(f"clause {i} is tautological")
+            run.remove(-q)
             hs = hs + 1 if hs == h else max(hs, h)
         derived.append((run, hs))
     if not derived or derived[-1][0]:

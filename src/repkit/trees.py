@@ -58,19 +58,8 @@ class Tree:
         return hash(tuple(_labels(self)))
 
     def __repr__(self):
-        out: list[str] = []
-        prev = 0  # depth of the previous node when it was a leaf, else -1
-        for s, d, _ in _walk(self):
-            if prev >= d > 0:  # a right child: close the subtrees its left sibling ended
-                out.append(")" * (prev - d) + ", right=")
-            if s.is_leaf:
-                out.append("Tree(var=None, left=None, right=None)")
-                prev = d
-            else:
-                out.append(f"Tree(var={s.var!r}, left=")
-                prev = -1
-        out.append(")" * prev)
-        return "".join(out)
+        return _fold(_labels(self), lambda i: "Tree(var=None, left=None, right=None)",
+                     lambda v, l, r: f"Tree(var={v!r}, left={l}, right={r})")
 
 
 LEAF = Tree()

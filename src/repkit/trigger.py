@@ -60,6 +60,8 @@ def hyperedge(p: ClauseSet, c: Clause, k: int) -> frozenset[Clause]:
 
 
 def trigger_hypergraph(p: ClauseSet, k: int) -> TriggerHypergraph:
+    if k < 0:
+        raise ValueError("k must be >= 0")
     vertices = tuple(sorted(p, key=clause_key))
     return TriggerHypergraph(k, vertices, {c: hyperedge(p, c, k) for c in vertices})
 

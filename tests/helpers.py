@@ -840,6 +840,42 @@ def ref_verify(spec, level: str = "formulas") -> dict:
     return report
 
 
+# Literal reference checker of bench's tree-resolution proofs: each
+# resolvent is built whole from the set of clashing literals, and every
+# input clause used is tested for a complementary pair on its own.
+def ref_check_refutation(clauses, proof, level: int) -> int:
+    m = len(clauses)
+    available: dict[int, tuple[Clause, int]] = {}
+
+    def take(i: int) -> tuple[Clause, int]:
+        if 0 <= i < m:
+            if any(-x in clauses[i] for x in clauses[i]):
+                raise ValueError("tautological input clause")
+            return frozenset(clauses[i]), 0
+        if i not in available:
+            raise ValueError("no such clause")
+        return available.pop(i)
+
+    last = None
+    for j, (start, antecedents) in enumerate(proof):
+        run, hs = take(start)
+        for i in antecedents:
+            c, h = take(i)
+            clashes = [x for x in c if -x in run]
+            if len(clashes) != 1:
+                raise ValueError("not exactly one clash")
+            run = (run - {-clashes[0]}) | (c - {clashes[0]})
+            if any(-x in run for x in run):
+                raise ValueError("tautological resolvent")
+            hs = hs + 1 if hs == h else max(hs, h)
+        available[m + j] = last = (run, hs)
+    if last is None or last[0]:
+        raise ValueError("not a refutation")
+    if last[1] > level:
+        raise ValueError("above the claimed level")
+    return last[1]
+
+
 # Frozen references of the searches that rebuilt clause-set images before
 # relative_hardness ran over the prime implicates, tsmuo split the input's
 # own clauses by sign, extension_property counted models literal by literal

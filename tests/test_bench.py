@@ -2,12 +2,13 @@ import dataclasses
 import gc
 import hashlib
 import json
+import random
 
 import pytest
 
 import repkit as rk
-from repkit import bench, cli, core
-from helpers import REFERENCE_TABLE, REFERENCE_ALPHA, ref_leaf_depth_sum, ref_verify
+from repkit import bench, cli, core, trees
+from helpers import REFERENCE_TABLE, REFERENCE_ALPHA, ref_check_refutation, ref_leaf_depth_sum, ref_verify
 
 
 def test_stats_against_frozen_table():
@@ -288,9 +289,9 @@ def certificate(spec):
 
 def test_the_checker_returns_the_horton_strahler_number():
     x = frozenset
-    assert bench._check_refutation([x({1}), x({-1})], [(0, [(1, 1)])], 1) == 1
+    assert bench._check_refutation([x({1}), x({-1})], [(0, [1])], 1) == 1
     full2 = [x({1, 2}), x({1, -2}), x({-1, 2}), x({-1, -2})]
-    proof = [(0, [(1, 2)]), (2, [(3, 2)]), (4, [(5, 1)])]
+    proof = [(0, [1]), (2, [3]), (4, [5])]
     assert bench._check_refutation(full2, proof, 2) == 2
     for spec in [bench.InstanceSpec(2, 5, 1), bench.InstanceSpec(3, 6, 1), bench.InstanceSpec(2, 5, 3)]:
         clauses, level, proof = certificate(spec)
@@ -298,46 +299,140 @@ def test_the_checker_returns_the_horton_strahler_number():
 
 
 @pytest.mark.parametrize("clauses, proof", [
-    ([{1}, {-1}], [(0, [(1, 1)]), (2, []), (2, [])]),                 # a derived clause used twice
-    ([{2}, {-1}, {-2}], [(0, [(1, 1), (2, 2)])]),                      # the pivot is not in the running clause
-    ([{1}, {2}, {-2}], [(0, [(1, 1), (2, 2)])]),                       # its complement is not in the antecedent
-    ([{1, 2}, {-1, -2}, {-2}, {2}], [(0, [(1, 1), (2, 2), (3, -2)])]),  # a tautological resolvent
-    ([{1, -1}, {-1}, {1}], [(0, [(1, 1), (2, -1)])]),                  # a tautological input clause
-    ([{1}, {-1, 1}, {-1}], [(0, [(1, 1)]), (3, [(2, 1)])]),            # and as the antecedent
-    ([{1}, {-1}], [(0, [(1, 1)]), (1, [])]),                           # a last clause that is not bot
+    ([{1}, {-1}], [(0, [1]), (2, []), (2, [])]),       # a derived clause used twice
+    ([{2}, {-1}, {-2}], [(0, [1, 2])]),                 # an antecedent with no clash
+    ([{1}, {2}, {-2}], [(0, [1, 2])]),                  # the running clause has no complement in it
+    ([{1, 2}, {-1, -2}, {-2}, {2}], [(0, [1, 2, 3])]),  # two clashes: a tautological resolvent
+    ([{1, -1}, {-1}, {1}], [(0, [1, 2])]),              # a tautological input clause
+    ([{1}, {-1, 1}, {-1}], [(0, [1]), (3, [2])]),       # and as the antecedent
+    ([{1}, {-1}], [(0, [1]), (1, [])]),                 # a last clause that is not bot
     ([], []),
-], ids=["reuse", "pivot-not-in-running", "complement-not-in-antecedent", "tautological-resolvent",
+], ids=["reuse", "no-clash", "complement-not-in-antecedent", "tautological-resolvent",
         "tautological-input", "tautological-antecedent", "last-not-empty", "empty-proof"])
 def test_the_checker_rejects(clauses, proof):
     with pytest.raises(ValueError):
         bench._check_refutation([frozenset(c) for c in clauses], proof, 5)
 
 
-def wrong_pivot(level, proof, m):
-    (start, [(ante, p), *rest]), *chains = proof
-    return level, [(start, [(ante, -p), *rest]), *chains]
+def random_refutation(rng, nv=4):
+    """A tree refutation of the path clauses of a random decision tree over
+    1..nv, each leaf clause missing a literal now and then, with a random
+    claimed level.  A chain goes on while the next clause is an input
+    clause, else a new chain starts; either side may come first."""
+    clauses, chains = [], []
+
+    def derive(path):  # ("input", i) or ("chain", j), holding the path's literals
+        free = [v for v in range(1, nv + 1) if v not in map(abs, path)]
+        if not free or rng.random() < .3:
+            clauses.append(frozenset(x for x in path if rng.random() < .95))
+            return "input", len(clauses) - 1
+        v = rng.choice(free)
+        l, r = rng.sample([derive(path + [v]), derive(path + [-v])], 2)
+        if l == ("chain", len(chains) - 1) and r[0] == "input":
+            chains[-1][1].append(r)
+            return l
+        chains.append((l, [r]))
+        return "chain", len(chains) - 1
+
+    derive([])
+    m = len(clauses)
+    index = lambda t: t[1] + (m if t[0] == "chain" else 0)
+    return clauses, [(index(s), [index(a) for a in ante]) for s, ante in chains], rng.randint(0, 4)
+
+
+def mutate_at_random(rng, clauses, proof, level):
+    """Unchanged 40% of the time; else one chain gets a random index or a
+    shuffled order, or one clause an extra literal."""
+    if not proof or rng.random() < .4:
+        return clauses, proof, level
+    j, top = rng.randrange(len(proof)), len(clauses) + len(proof)
+    start, ante = proof[j]
+    pick = rng.randrange(4)
+    if pick == 0:
+        start = rng.randint(-1, top)
+    elif pick == 1 and ante:
+        ante = [rng.randint(-1, top) if i == 0 else a for i, a in enumerate(rng.sample(ante, len(ante)))]
+    elif pick == 2:
+        ante = rng.sample(ante, len(ante))
+    else:
+        i = rng.randrange(len(clauses))
+        clauses = [*clauses[:i], clauses[i] | {rng.choice([1, -1]) * rng.randint(1, 4)}, *clauses[i + 1:]]
+    return clauses, [*proof[:j], (start, ante), *proof[j + 1:]], level
+
+
+def verdict(check, *args):
+    try:
+        return check(*args)
+    except ValueError:
+        return None
+
+
+def test_the_checker_agrees_with_the_literal_reference():
+    """Random small proofs, most of them near misses: both checkers accept
+    the same ones, with the same number."""
+    rng = random.Random(19)
+    seen = set()
+    for _ in range(4000):
+        case = mutate_at_random(rng, *random_refutation(rng))
+        got = verdict(bench._check_refutation, *case)
+        assert got == verdict(ref_check_refutation, *case), case
+        seen.add(got)
+    assert seen >= {None, 1, 2, 3}
+
+
+def test_the_certificate_builds_no_tree(monkeypatch):
+    """The proof comes from the clause list: no extremal tree is built again."""
+    calls = []
+    for name in ("extremal_shape", "label_bfs"):
+        build = getattr(trees, name)
+        monkeypatch.setattr(trees, name, lambda *args, build=build: calls.append(build) or build(*args))
+    trees.extremal_tree(2, 5)
+    assert len(calls) == 2                 # the spies see the build inside extremal_tree
+    for k, h, variant in VERIFIED_SPECS:
+        spec = bench.InstanceSpec(k, h, variant)
+        clauses, _ = bench.generate(spec)
+        calls.clear()
+        level, proof = bench._certificate(spec, clauses)
+        assert calls == [] and bench._check_refutation(clauses, proof, level) == level
+
+
+def no_clash(level, proof, m):
+    (start, [_, *rest]), *chains = proof
+    return level, [(start, [start, *rest]), *chains]
+
+
+def two_clashes(level, proof, m):
+    """Swap the first antecedents of leaves 0 and 1, siblings on every row:
+    each chain still resolves, but G1's pair chains derive
+    P u {-u_0, u_1} and P u {u_0, -u_1}, and G2/G3's both derive
+    {-s_0, -s_1}, which clash twice where they meet."""
+    (s0, [a0, *r0]), (s1, [a1, *r1]), *chains = proof
+    return level, [(s0, [a1, *r0]), (s1, [a0, *r1]), *chains]
 
 
 def past_the_end(level, proof, m):
-    (start, [(_, p), *rest]), *chains = proof
-    return level, [(start, [(m + len(proof), p), *rest]), *chains]
+    (start, [_, *rest]), *chains = proof
+    return level, [(start, [m + len(proof), *rest]), *chains]
 
 
 def negative_index(level, proof, m):
-    (start, [(_, p), *rest]), *chains = proof
-    return level, [(start, [(-1, p), *rest]), *chains]
+    (start, [_, *rest]), *chains = proof
+    return level, [(start, [-1, *rest]), *chains]
 
 
 def last_not_empty(level, proof, m):
-    *chains, (start, steps) = proof
-    return level, [*chains, (start, steps[:-1])]
+    *chains, (start, antecedents) = proof
+    return level, [*chains, (start, antecedents[:-1])]
 
 
 def one_too_low(level, proof, m):
     return level - 1, proof
 
 
-MUTATIONS = [wrong_pivot, past_the_end, negative_index, last_not_empty, one_too_low]
+#: Each mutation and the error it must meet.
+MUTATIONS = {no_clash: "no clash", two_clashes: "second clash",
+             past_the_end: "names no available clause", negative_index: "names no available clause",
+             last_not_empty: "does not end in the empty clause", one_too_low: "above the claimed"}
 
 
 @pytest.mark.parametrize("mutate", MUTATIONS, ids=lambda f: f.__name__)
@@ -346,7 +441,7 @@ def test_a_mutated_certificate_is_rejected_and_verify_falls_back(monkeypatch, mu
     spec = bench.InstanceSpec(k, h, variant)
     clauses, level, proof = certificate(spec)
     bad_level, bad_proof = mutate(level, proof, len(clauses))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=MUTATIONS[mutate]):
         bench._check_refutation(clauses, bad_proof, bad_level)
 
     build = bench._certificate
@@ -574,6 +669,13 @@ def test_cli_trigger(tmp_path, capsys):
         rc, out = run_cli(capsys, "trigger", str(path), "--k", str(k))
         assert rc == 0
         assert out == json.dumps(want, indent=2) + "\n", k
+
+
+def test_cli_trigger_refuses_a_negative_k(tmp_path, capsys):
+    path = tmp_path / "t3.cnf"
+    path.write_text("p cnf 2 3\n1 0\n-1 2 0\n-1 -2 0\n")
+    rc, err = run_cli_err(capsys, "trigger", str(path), "--k", "-1")
+    assert rc == 5 and err == "repkit: k must be >= 0\n"
 
 
 def test_cli_verify(capsys):

@@ -21,7 +21,6 @@ from math import comb
 from operator import neg
 
 from .core import Clause, SizeLimitExceeded, _nogc, emit_dimacs
-from .reductions import unsat_level
 from .translate import cant, cantm, complement_clauses
 from .trees import _MAX_LITERALS, _leaf_depth_sum, alpha, doped_tree, extremal_tree
 
@@ -214,53 +213,55 @@ def _check_refutation(clauses: list[Clause], proof: Proof, level: int) -> int:
 
 
 @_nogc
-def _certified_level(spec: InstanceSpec, clauses: list[Clause]) -> int | None:
-    """hd(F) by certificate, or None when one cannot be built or checked.
-    A checked refutation of Horton-Strahler number L shows hd(F) <= L
-    (Kullmann 1999: hd(F) is the least such number), and no clause shorter
-    than L shows hd(F) >= L: r_0 needs the empty clause, and setting one
-    literal shortens each clause by at most one, so by induction r_j
-    changes nothing while every clause has more than j literals.  Runs with
+def _certified_level(spec: InstanceSpec, clauses: list[Clause]) -> int:
+    """hd(F) by certificate.  A checked refutation of Horton-Strahler
+    number L shows hd(F) <= L (Kullmann 1999: hd(F) is the least such
+    number), and no clause shorter than L shows hd(F) >= L: r_0 needs the
+    empty clause, and setting one literal shortens each clause by at most
+    one, so by induction r_j changes nothing while every clause has more
+    than j literals.  Raises ValueError naming the check that fails, and
+    LookupError on a clause list not in the G1/G2/G3 layout.  Runs with
     the collector paused, as `generate` does: the proof and the derived
     clauses hold no cycle."""
-    try:
-        level, proof = _certificate(spec, clauses)
-        lvl = _check_refutation(clauses, proof, level)
-        return lvl if min(map(len, clauses)) >= lvl else None
-    except (LookupError, ValueError):  # an instance of another layout, or a rejected proof
-        return None
+    level, proof = _certificate(spec, clauses)
+    lvl = _check_refutation(clauses, proof, level)
+    if min(map(len, clauses)) < lvl:
+        i = next(i for i, c in enumerate(clauses) if len(c) < lvl)
+        raise ValueError(f"clause {i} has {len(clauses[i])} literals, fewer than the proof's {lvl}")
+    return lvl
 
 
 def verify(spec: InstanceSpec, level: str = "formulas") -> dict:
     """Check the generated instance against the closed forms ("formulas")
     or additionally its satisfiability status and hardness ("hardness").
 
-    The hardness is certified first (`_certified_level`): a refutation read
-    off the generator's clause layout is checked step by step for the upper
+    The hardness is certified (`_certified_level`): a refutation read off
+    the generator's clause layout is checked step by step for the upper
     bound L, and the shortest clause, of at least L literals, gives the
-    lower bound.  Neither bound builds a propagation trail.  Should the
-    certificate fail to build or check, the search decides instead:
-    `unsat_level` closes one trail of F under r_2, and DPLL runs only if
-    the trail is still open there; it tells "satisfiable" apart from
-    "harder than r_2", and then the climb goes on from r_3."""
+    lower bound.  Neither bound builds a propagation trail.  When a check
+    fails nothing is proved: the report says "unsatisfiable": null, a
+    hardness of null, ok false, and under "rejected" the failed check."""
+    if level not in ("formulas", "hardness"):
+        raise ValueError(f"unknown verify level {level!r}")
     rec = stats(spec)
     clauses, n = generate(spec)
-    f = frozenset(clauses)
     report = {
         "instance": spec.name,
         "n": (n, rec.n),
         "c": (len(clauses), rec.c),
         "l": (sum(len(c) for c in clauses), rec.l),
-        "distinct": len(f) == len(clauses),
+        "distinct": len(set(clauses)) == len(clauses),
     }
     report["ok"] = (report["distinct"]
                     and all(got == want for got, want in
                             (report["n"], report["c"], report["l"])))
     if level == "hardness":
-        lvl = _certified_level(spec, clauses)
-        if lvl is None:
-            lvl = unsat_level(f)
-        report["unsatisfiable"] = lvl is not None
-        report["hardness"] = (lvl, rec.hardness)
-        report["ok"] = report["ok"] and lvl == rec.hardness
+        try:
+            lvl = _certified_level(spec, clauses)
+        except (LookupError, ValueError) as e:  # an instance of another layout, or a rejected proof
+            report.update(ok=False, unsatisfiable=None, hardness=(None, rec.hardness),
+                          rejected=f"{type(e).__name__}: {e}")
+        else:
+            report.update(ok=report["ok"] and lvl == rec.hardness, unsatisfiable=True,
+                          hardness=(lvl, rec.hardness))
     return report

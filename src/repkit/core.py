@@ -108,10 +108,6 @@ def clause_key(c: Clause) -> tuple:
     return (len(c), sorted(abs(x) for x in c), sorted(c))
 
 
-def var(lit: int) -> int:
-    return abs(lit)
-
-
 def complement(c: Iterable[int]) -> Clause:
     return frozenset(map(neg, c))
 

@@ -51,7 +51,7 @@ from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import compress, repeat
-from operator import and_
+from operator import and_, itemgetter
 
 from .core import (
     Assignment, BOT, BOT_SET, Clause, ClauseSet, SizeLimitExceeded, _Trail,
@@ -178,11 +178,8 @@ def _max_over_prime_implicates(f: ClauseSet, t: _Trail, kind: str, level: Callab
     if t.model() is None:
         return HardnessReport(kind, level(BOT), _as_witness({})), BOT_SET
     prime = prime_implicates(f)
-    best, best_c = 0, None
-    for c in sorted(prime, key=clause_key):
-        lv = level(c)
-        if lv > best or best_c is None:
-            best, best_c = lv, c
+    best, best_c = max(((level(c), c) for c in sorted(prime, key=clause_key)),
+                       key=itemgetter(0), default=(0, None))  # the first maximum
     witness = None if best_c is None else _as_witness(falsifying_assignment(best_c))
     return HardnessReport(kind, best, witness), prime  # witness None: tautology
 
@@ -271,10 +268,7 @@ def relative_hardness(f: ClauseSet, vs: frozenset[int] | set[int]) -> int:
 def split_hardness_bound(f: ClauseSet, vs: frozenset[int] | set[int]) -> int:
     """Upper bound hd(F) <= |V| + max over total psi on V of hd(psi * F)."""
     vs = set(vs)
-    worst = 0
-    for psi in total_assignments(vs):
-        worst = max(worst, hardness(apply_assignment(psi, f)).value)
-    return len(vs) + worst
+    return len(vs) + max(hardness(apply_assignment(psi, f)).value for psi in total_assignments(vs))
 
 
 # ---------------------------------------------------------------------------

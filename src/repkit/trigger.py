@@ -146,24 +146,32 @@ def _greedy_transversal(edges: list[int]) -> int:
 
 
 def matching_number(h: TriggerHypergraph) -> tuple[int, tuple[frozenset[Clause], ...]]:
-    """Exact maximum number of pairwise disjoint hyperedges."""
+    """Exact maximum number of pairwise disjoint hyperedges, searched on an explicit stack."""
     _, edges, masks = _edge_masks(h)
     best: list = [0, ()]
-    _pack(masks, (), best)
+    stack = [_pack(masks, (), best)]
+    while stack:
+        child = next(stack[-1], None)
+        if child is None:
+            stack.pop()
+        else:
+            stack.append(child)
     edge_of = dict(zip(masks, edges))
     return best[0], tuple(edge_of[e] for e in best[1])
 
 
-def _pack(cands: list[int], picked: tuple[int, ...], best: list) -> None:
+def _pack(cands: list[int], picked: tuple[int, ...], best: list) -> Iterator:
     """Extend the matching `picked` by the candidates, the later edges
     disjoint from all of it, depth first in edge order; best holds the first
-    largest matching found, replaced only by a strictly larger one."""
+    largest matching found, replaced only by a strictly larger one.  Yields
+    the search of each child, bounded once the one before is done."""
     if len(picked) > best[0]:
         best[0], best[1] = len(picked), picked
+    reach = len(picked) + len(cands)
     for i, e in enumerate(cands):
-        if len(picked) + len(cands) - i <= best[0]:  # cannot beat the best
+        if reach - i <= best[0]:  # picked plus candidates left cannot beat the best
             return
-        _pack([f for f in cands[i + 1:] if not f & e], picked + (e,), best)
+        yield _pack([f for f in cands[i + 1:] if not f & e], picked + (e,), best)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
+import ast
 import dataclasses
 import gc
 import hashlib
+import inspect
 import json
 import random
+import re
 
 import pytest
 
@@ -172,6 +175,12 @@ def test_verify_levels():
     assert rep["ok"] and rep["hardness"] == (2, 2)
 
 
+@pytest.mark.parametrize("level", ["hardnes", "Hardness", "", None])
+def test_verify_refuses_an_unknown_level(level):
+    with pytest.raises(ValueError, match="unknown verify level"):
+        bench.verify(bench.InstanceSpec(2, 5, 1), level)
+
+
 #: The family-hardness rungs of perfbench, G1_k2_h12 and G1_k3_h6.
 VERIFIED_SPECS = ([(k, h, v) for v in (1, 2, 3) for k, h in ((2, 5), (2, 6), (2, 7), (3, 5))]
                   + [(2, 12, 1), (3, 6, 1)])
@@ -189,22 +198,8 @@ def test_verify_equals_the_dpll_first_reference(k, h, variant):
     assert rep["ok"] is True
 
 
-def spy_on_search(monkeypatch) -> list[int]:
-    """Record the clause count of each call of the search fallback."""
-    calls = []
-    search = bench.unsat_level
-
-    def spy(f):
-        calls.append(len(f))
-        return search(f)
-
-    monkeypatch.setattr(bench, "unsat_level", spy)
-    return calls
-
-
 def test_verify_runs_no_dpll_when_the_claim_holds(monkeypatch):
-    """Each rung is certified: neither DPLL nor the r_k search runs, so a
-    silent fallback cannot hide a lost speed-up."""
+    """Each rung is certified: DPLL does not run."""
     calls = []
     model = core._Trail.model
 
@@ -213,10 +208,33 @@ def test_verify_runs_no_dpll_when_the_claim_holds(monkeypatch):
         return model(t, *args)
 
     monkeypatch.setattr(core._Trail, "model", spy)
-    searches = spy_on_search(monkeypatch)
     for k, h, variant in VERIFIED_SPECS:
         assert bench.verify(bench.InstanceSpec(k, h, variant), "hardness")["ok"] is True
-    assert calls == [] and searches == []
+    assert calls == []
+
+
+def test_bench_imports_nothing_from_the_search():
+    """verify has one route, the certificate: bench does not import the
+    propagation engine's reductions module."""
+    imports = [n for n in ast.walk(ast.parse(inspect.getsource(bench)))
+               if isinstance(n, (ast.Import, ast.ImportFrom))]
+    modules = {getattr(n, "module", None) or "" for n in imports} | {a.name for n in imports for a in n.names}
+    assert "core" in modules and not any("reductions" in m for m in modules)
+    assert not any(getattr(v, "__module__", None) == "repkit.reductions" for v in vars(bench).values())
+
+
+#: Every spec with k = 2..5 and h <= k + 8 (all of them at most 300,000 literals).
+SMALL_SPECS = [bench.InstanceSpec(k, h, v)
+               for k in range(2, 6) for h in range(k + 1, k + 9) for v in (1, 2, 3)]
+
+
+def test_every_small_spec_certifies_at_its_closed_form_hardness():
+    """The certificate is built by construction for every spec, so verify
+    needs no other route on the instances generate builds."""
+    assert len(SMALL_SPECS) == 96 and max(bench.stats(s).l for s in SMALL_SPECS) <= 300_000
+    for spec in SMALL_SPECS:
+        clauses, _ = bench.generate(spec)
+        assert bench._certified_level(spec, clauses) == bench.stats(spec).hardness, spec.name
 
 
 @pytest.mark.parametrize("k,h,variant", VERIFIED_SPECS)
@@ -261,6 +279,18 @@ def test_verify_reports_a_level_below_a_claim_that_is_too_high(monkeypatch):
         assert rep["ok"] is False
 
 
+def assert_rejected(spec, reason):
+    """verify proves nothing and says why: the formulas part of the report
+    is the reference's, and "rejected" matches reason."""
+    rep = bench.verify(spec, "hardness")
+    want = ref_verify(spec, "formulas")
+    assert rep == {**want, "ok": False, "unsatisfiable": None,
+                   "hardness": (None, bench.stats(spec).hardness), "rejected": rep["rejected"]}
+    assert list(rep) == [*want, "unsatisfiable", "hardness", "rejected"]
+    assert re.search(reason, rep["rejected"]) and "\n" not in rep["rejected"], rep["rejected"]
+    return rep
+
+
 def test_verify_on_a_satisfiable_instance(monkeypatch):
     generate = bench.generate
 
@@ -269,12 +299,10 @@ def test_verify_on_a_satisfiable_instance(monkeypatch):
         return clauses[:-1], n
 
     monkeypatch.setattr(bench, "generate", less_one_clause)
-    searches = spy_on_search(monkeypatch)
     for k, h in [(2, 5), (3, 5)]:
-        rep = assert_verify_matches_reference(bench.InstanceSpec(k, h, 1))
-        assert rep["unsatisfiable"] is False and rep["hardness"] == (None, k + 1)
-        assert rep["ok"] is False
-    assert len(searches) == 2
+        spec = bench.InstanceSpec(k, h, 1)
+        assert rk.is_satisfiable(frozenset(bench.generate(spec)[0]))
+        assert_rejected(spec, "^ValueError: clause index [0-9]+ names no available clause$")
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +466,8 @@ MUTATIONS = {no_clash: "no clash", two_clashes: "second clash",
 @pytest.mark.parametrize("mutate", MUTATIONS, ids=lambda f: f.__name__)
 @pytest.mark.parametrize("k,h,variant", [(2, 5, 1), (3, 5, 1), (2, 5, 2), (2, 6, 3)])
 def test_a_mutated_certificate_is_rejected_and_verify_falls_back(monkeypatch, mutate, k, h, variant):
+    """The checker rejects each mutation with its own error, and verify
+    reports that error instead of a hardness."""
     spec = bench.InstanceSpec(k, h, variant)
     clauses, level, proof = certificate(spec)
     bad_level, bad_proof = mutate(level, proof, len(clauses))
@@ -450,15 +480,13 @@ def test_a_mutated_certificate_is_rejected_and_verify_falls_back(monkeypatch, mu
         return mutate(*build(spec, clauses), len(clauses))
 
     monkeypatch.setattr(bench, "_certificate", mutated)
-    searches = spy_on_search(monkeypatch)
-    rep = assert_verify_matches_reference(spec)
-    assert rep["ok"] is True and len(searches) == 1
+    assert_rejected(spec, MUTATIONS[mutate])
 
 
 def test_a_clause_shorter_than_the_proof_level_is_rejected(monkeypatch):
     """The lower bound is checked: with the last leaf's path clause, of k
     literals, appended to G1, the proof still checks at k + 1, but the
-    shortest clause no longer bounds hd from below and verify falls back."""
+    shortest clause no longer bounds hd from below and verify says so."""
     generate = bench.generate
 
     def with_a_short_clause(spec):
@@ -466,22 +494,21 @@ def test_a_clause_shorter_than_the_proof_level_is_rejected(monkeypatch):
         return clauses + [clauses[-1] - {n}], n   # n: the last leaf's doping variable
 
     monkeypatch.setattr(bench, "generate", with_a_short_clause)
-    searches = spy_on_search(monkeypatch)
     for k, h in [(2, 5), (3, 5)]:
         spec = bench.InstanceSpec(k, h, 1)
         clauses, level, proof = certificate(spec)
         assert min(map(len, clauses)) == k and bench._check_refutation(clauses, proof, level) == k + 1
-        assert bench._certified_level(spec, clauses) is None
-        assert assert_verify_matches_reference(spec)["ok"] is False
-    assert len(searches) == 2
+        reason = f"clause {len(clauses) - 1} has {k} literals, fewer than the proof's {k + 1}"
+        with pytest.raises(ValueError, match=f"^{reason}$"):
+            bench._certified_level(spec, clauses)
+        assert_rejected(spec, f"^ValueError: {reason}$")
 
 
 @pytest.mark.parametrize("k,h,variant", [(2, 52, 1), (3, 23, 2), (2, 52, 3)])
-def test_the_certificate_and_the_search_agree(monkeypatch, k, h, variant):
+def test_the_certificate_and_the_search_agree(k, h, variant):
     spec = bench.InstanceSpec(k, h, variant)
-    searches = spy_on_search(monkeypatch)
     rep = bench.verify(spec, "hardness")
-    assert searches == [] and rep["ok"] is True
+    assert rep["ok"] is True and "rejected" not in rep
     clauses, _ = bench.generate(spec)
     assert rk.unsat_level(frozenset(clauses)) == rep["hardness"][0]
 
@@ -669,6 +696,16 @@ def test_cli_trigger(tmp_path, capsys):
         rc, out = run_cli(capsys, "trigger", str(path), "--k", str(k))
         assert rc == 0
         assert out == json.dumps(want, indent=2) + "\n", k
+
+
+def test_cli_trigger_on_1200_disjoint_hyperedges(tmp_path, capsys):
+    """1,200 units give 1,200 disjoint one-clause hyperedges at k = 0: the
+    matching search goes 1,200 levels deep without recursing."""
+    path = tmp_path / "units.cnf"
+    path.write_text("p cnf 1200 1200\n" + "".join(f"{v} 0\n" for v in range(1, 1201)))
+    rc, out = run_cli(capsys, "trigger", str(path), "--k", "0")
+    rep = json.loads(out)
+    assert rc == 0 and rep["matching_number"] == rep["transversal_number"] == 1200
 
 
 def test_cli_trigger_refuses_a_negative_k(tmp_path, capsys):

@@ -10,7 +10,8 @@ with all doping literals flipped.  The three variants are
 
 Variable blocks: tree labels 1..a-1 breadth-first (a = leaf count), doping
 variables a..2a-1 by leaf number, translation selectors 2a..3a-1 in clause
-order.  Generation is bit-deterministic.
+order: `generate` makes F_i = P_i + {a+i} and F'_i = P_i + {-(a+i)} from
+the leaf paths P_i of T.  Generation is bit-deterministic.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from operator import neg
 
 from .core import Clause, SizeLimitExceeded, _nogc, emit_dimacs
 from .translate import cant, cantm, complement_clauses
-from .trees import _MAX_LITERALS, _leaf_depth_sum, alpha, doped_tree, extremal_tree
+from .trees import _MAX_LITERALS, _leaf_depth_sum, alpha, extremal_tree, tree_clauses
 
 #: A tree-resolution refutation as index chains, in the manner of LRAT
 #: hints.  Clause i < len(F) is the input clause F[i]; chain j derives
@@ -89,14 +90,15 @@ def generate(spec: InstanceSpec) -> tuple[list[Clause], int]:
     if l > _MAX_LITERALS:
         raise SizeLimitExceeded(f"{spec.name} has {l} literals, above the limit of {_MAX_LITERALS}",
                                 budget="literals", limit=_MAX_LITERALS, progress=l)
-    d = doped_tree(extremal_tree(spec.k, spec.h))
-    flipped = [c ^ {u, -u} for c, u in zip(d.ordered, d.doping_map.values())]
+    paths = tree_clauses(extremal_tree(spec.k, spec.h))
+    a = len(paths)                     # labels 1..a-1, so leaf i is doped with a + i
+    flipped = [p | {-(a + i)} for i, p in enumerate(paths)]
     if spec.variant == 1:
-        out = flipped + list(d.ordered)
+        out = flipped + [p | {a + i} for i, p in enumerate(paths)]
     else:                              # one clause per leaf: selectors start at 2a
+        del paths
         translation = cant if spec.variant == 2 else cantm
-        out = flipped + list(translation(complement_clauses(flipped),
-                                         first_new_var=2 * len(flipped)).ordered)
+        out = flipped + list(translation(complement_clauses(flipped), first_new_var=2 * a).ordered)
     return out, max(map(abs, chain.from_iterable(out)))
 
 

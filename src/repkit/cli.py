@@ -98,8 +98,7 @@ def cmd_dope(args) -> int:
     clauses, _ = _read_clauses(args.file)
     d = mps.dope(frozenset(clauses))
     comments = [f"doping variable {u} for clause {' '.join(map(str, _clause_out(c)))}"
-                for c, u in sorted(d.doping_map.items(),
-                                   key=lambda it: core.clause_key(it[0]))]
+                for c, u in d.doping_map.items()]  # in clause_key order, as dope numbers them
     _write(core.emit_dimacs(d.ordered, "cnf", comments), args.output)
     return 0
 
@@ -108,15 +107,11 @@ def cmd_tree(args) -> int:
     t = trees.extremal_tree(args.k, args.h)
     if args.emit == "dot":
         _write(trees.to_dot(t), args.output)
-    elif args.emit == "doped":
-        d = trees.doped_tree(t)
-        _write(core.emit_dimacs(d.ordered, "cnf",
-                                [f"doped extremal tree k={args.k} h={args.h}"]),
-               args.output)
     else:
-        _write(core.emit_dimacs(trees.tree_clauses(t), "cnf",
-                                [f"extremal tree k={args.k} h={args.h}"]),
-               args.output)
+        doped = args.emit == "doped"
+        clauses = trees.doped_tree(t).ordered if doped else trees.tree_clauses(t)
+        comment = f"{'doped ' if doped else ''}extremal tree k={args.k} h={args.h}"
+        _write(core.emit_dimacs(clauses, "cnf", [comment]), args.output)
     return 0
 
 

@@ -108,6 +108,11 @@ def clause_key(c: Clause) -> tuple:
     return (len(c), sorted(abs(x) for x in c), sorted(c))
 
 
+def _clause_order(cs: Iterable) -> list:
+    """The clause order rule: a set is sorted by clause_key, a sequence keeps its order."""
+    return sorted(cs, key=clause_key) if isinstance(cs, (set, frozenset)) else list(cs)
+
+
 def complement(c: Iterable[int]) -> Clause:
     return frozenset(map(neg, c))
 
@@ -529,8 +534,7 @@ def emit_dimacs(clauses: Iterable[Clause], fmt: str = "cnf",
     Every clause must be complement-free, as `clause` and `parse_dimacs` make
     it, so each variable occurs once in it.
     """
-    set_like = isinstance(clauses, (set, frozenset))
-    clauses = sorted(clauses, key=clause_key) if set_like else list(clauses)
+    clauses = _clause_order(clauses)
     if num_vars is None:
         num_vars = max(map(abs, itertools.chain.from_iterable(clauses)), default=0)
     lines = [f"c {s}" for s in comments]

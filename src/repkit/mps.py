@@ -146,15 +146,7 @@ def is_total_mps(f: ClauseSet) -> bool:
 def has_max_prime_implicates(f: ClauseSet) -> bool:
     """|primec_0(F)| = 2^c(F) - 1: F is a total mps and every clause owns a
     variable occurring in no other clause."""
-    if not f:
-        return False
-    if not is_total_mps(f):
-        return False
-    for c in f:
-        rest = variables(f - {c})
-        if not any(abs(x) not in rest for x in c):
-            return False
-    return True
+    return bool(f) and is_total_mps(f) and all(variables(c) - variables(f - {c}) for c in f)
 
 
 def prime_implicates_bounded(f: ClauseSet, k: int) -> ClauseSet:

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 
 from .core import (
-    Assignment, BOT, Clause, ClauseSet, SizeLimitExceeded, _Trail,
+    Assignment, BOT, Clause, ClauseSet, SizeLimitExceeded, _Trail, _clause_order,
     clause, clause_key, complement, is_satisfiable, total_assignments, variables,
 )
 from .mps import DopedClauseSet
@@ -35,15 +35,10 @@ class TranslationResult:
         return frozenset(self.ordered)
 
 
-def _dnf_order(dnf) -> list[Clause]:
-    if isinstance(dnf, (set, frozenset)):
-        return sorted((frozenset(c) for c in dnf), key=clause_key)
-    return [frozenset(c) for c in dnf]
-
-
 def cant(dnf, first_new_var: int | None = None) -> TranslationResult:
     """Canonical CNF translation of a DNF (sequence input fixes the clause
-    order; fresh selector variables are numbered in that order)."""
+    order; fresh selector variables are numbered in that order, from
+    first_new_var if given, which must lie above every input variable)."""
     return _selector_translation(dnf, first_new_var, "cant")
 
 
@@ -55,13 +50,11 @@ def cantm(dnf, first_new_var: int | None = None) -> TranslationResult:
 
 def _selector_translation(dnf, first_new_var: int | None, kind: str) -> TranslationResult:
     """cant; for kind "cantm" without the clause-implies-selector clauses."""
-    order = _dnf_order(dnf)
-    for c in order:
-        clause(*c)  # validation
+    order = [clause(*c) for c in _clause_order(dnf)]  # validation
     if not order:                      # empty disjunction: constant false
         return TranslationResult((BOT,), {}, kind)
-    v0 = (max((abs(x) for c in order for x in c), default=0) + 1
-          if first_new_var is None else first_new_var)
+    v0 = _fresh(max(map(abs, itertools.chain.from_iterable(order)), default=0),
+                first_new_var, "first_new_var")
     new_vars = {v0 + i: c for i, c in enumerate(order)}
     out: list[Clause] = []
     for i, c in enumerate(order):
@@ -73,12 +66,17 @@ def _selector_translation(dnf, first_new_var: int | None, kind: str) -> Translat
     return TranslationResult(ordered, new_vars, kind)
 
 
+def _fresh(top: int, first: int | None, name: str) -> int:
+    """first, or top + 1 when it is None; first must lie above top."""
+    if first is not None and first <= top:
+        raise ValueError(f"{name} {first} is not above the largest input variable {top}")
+    return top + 1 if first is None else first
+
+
 def complement_clauses(clauses) -> list[Clause]:
     """Clause-wise complement: as a DNF this is the negation of the CNF
     (and vice versa)."""
-    if isinstance(clauses, (set, frozenset)):
-        clauses = sorted(clauses, key=clause_key)
-    return [complement(c) for c in clauses]
+    return [complement(c) for c in _clause_order(clauses)]
 
 
 def negate_doped(d: DopedClauseSet) -> list[Clause]:
@@ -109,7 +107,8 @@ def xor_chain(lits: list[int], first_aux: int | None = None) -> TranslationResul
 
     Each link is given by its prime implicates; the last link is the
     two-clause equality of the final parity variable with the last literal.
-    Raises ValueError on the literal 0 and on a variable given twice.
+    Raises ValueError on the literal 0, on a variable given twice and on a
+    first_aux not above every input variable.
     """
     seen: set[int] = set()
     for x in lits:
@@ -126,7 +125,7 @@ def xor_chain(lits: list[int], first_aux: int | None = None) -> TranslationResul
     if n == 2:
         out = (frozenset({lits[0], -lits[1]}), frozenset({-lits[0], lits[1]}))
         return TranslationResult(out, {}, "xor")
-    y0 = (max(abs(x) for x in lits) + 1) if first_aux is None else first_aux
+    y0 = _fresh(max(abs(x) for x in lits), first_aux, "first_aux")
     ys = list(range(y0, y0 + n - 2))           # y_2 .. y_{n-1}
     out: list[Clause] = []
     out += _parity_link(lits[0], lits[1], ys[0])
@@ -221,7 +220,7 @@ def extension_property(fp: ClauseSet, original_vars, dnf=None) -> str:
 
     uep = all(extensions(phi) <= 1 for phi in total_assignments(orig))
     if uep and dnf is not None:
-        order = _dnf_order(dnf)
+        order = _clause_order(dnf)
         partial = ({v: b for v, b in zip(orig, alloc) if b is not None}
                    for alloc in itertools.product((None, 0, 1), repeat=len(orig)))
         if all(extensions(phi) == 1 for phi in partial

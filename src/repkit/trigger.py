@@ -7,14 +7,15 @@ asymmetric width <= k must hit every such edge, so the transversal number
 tau (and hence the matching number nu) lower-bounds its clause count.
 
 Both numbers are exact, by branch and bound on int vertex masks (bit i is
-the i-th vertex in clause_key order).  The matching search goes depth first
-through the edges sorted by size, carrying the later edges disjoint from all
-picked ones; it stops at a node once the picked edges plus the candidates
-left cannot beat the best matching.  Only a strictly larger matching
-replaces the best, so the first maximum matching in that order comes back,
-the same tuple of edges as from the plain search without the bound.  The
-hitting-set search branches on the vertices of the first edge not yet hit,
-lowest bit first, starting from a greedy hitting set.
+the i-th vertex in clause_key order), depth first on one explicit stack
+(`_search`; a node yields its child searches, so nothing here recurses).
+The matching search takes the edges by size, carrying the later edges
+disjoint from all picked ones, and stops at a node once the picked edges
+plus the candidates left cannot beat the best.  Only a strictly larger
+matching replaces the best, so the first maximum matching in that order
+comes back, as from the plain search without the bound.  The hitting-set
+search branches on the vertices of the first edge not yet hit, lowest bit
+first, starting from a greedy hitting set.
 
 For doped extremal trees the certificates of Sperner type are produced
 directly from leaf sets; the full hypergraph is never materialized.
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from math import comb
@@ -98,6 +100,17 @@ def _bits(m: int):
         m ^= low
 
 
+def _search(root: Iterator) -> None:
+    """Depth first on an explicit stack; a node yields its child searches."""
+    stack = [root]
+    while stack:
+        child = next(stack[-1], None)
+        if child is None:
+            stack.pop()
+        else:
+            stack.append(child)
+
+
 def transversal_number(h: TriggerHypergraph) -> tuple[int, frozenset[Clause]]:
     """Exact minimum hitting set over the hyperedges, by branch and bound."""
     vertices, _, masks = _edge_masks(h)
@@ -106,14 +119,14 @@ def transversal_number(h: TriggerHypergraph) -> tuple[int, frozenset[Clause]]:
         raise ValueError("empty hyperedge cannot be hit")
     greedy = _greedy_transversal(edges)
     best = [greedy.bit_count(), greedy]
-    _hit(edges, 0, 0, best)
+    _search(_hit(edges, 0, 0, best))
     return best[0], frozenset(vertices[v.bit_length() - 1] for v in _bits(best[1]))
 
 
-def _hit(rem: list[int], chosen: int, size: int, best: list) -> None:
+def _hit(rem: list[int], chosen: int, size: int, best: list) -> Iterator:
     """Extend the hitting set `chosen` (size vertices) until it hits rem;
-    best holds the first smallest hitting set found.  Branches on the
-    vertices of the first edge not hit, lowest bit first."""
+    best holds the first smallest hitting set found.  Yields the search of
+    each vertex of the first edge not hit, lowest bit first."""
     rem = [e for e in rem if not e & chosen]
     if not rem:
         if size < best[0]:
@@ -127,35 +140,27 @@ def _hit(rem: list[int], chosen: int, size: int, best: list) -> None:
     if size + lb >= best[0]:
         return
     for v in _bits(rem[0]):
-        _hit(rem, chosen | v, size + 1, best)
+        yield _hit(rem, chosen | v, size + 1, best)
 
 
 def _greedy_transversal(edges: list[int]) -> int:
-    """Take the vertex in most edges not yet hit, the lowest bit on a tie."""
-    chosen = 0
-    rem = edges
+    """Take the vertex in most edges not yet hit, the lowest bit on a tie.
+    count keeps, per vertex, the number of edges not yet hit through it."""
+    count = Counter(v for e in edges for v in _bits(e))
+    chosen, rem = 0, edges
     while rem:
-        counts: dict[int, int] = {}
-        for e in rem:
-            for v in _bits(e):
-                counts[v] = counts.get(v, 0) + 1
-        v = max(sorted(counts), key=counts.__getitem__)
+        v = max(count, key=lambda u: (count[u], -u))
         chosen |= v
+        count -= Counter(u for e in rem if e & v for u in _bits(e))
         rem = [e for e in rem if not e & v]
     return chosen
 
 
 def matching_number(h: TriggerHypergraph) -> tuple[int, tuple[frozenset[Clause], ...]]:
-    """Exact maximum number of pairwise disjoint hyperedges, searched on an explicit stack."""
+    """Exact maximum number of pairwise disjoint hyperedges, by branch and bound."""
     _, edges, masks = _edge_masks(h)
     best: list = [0, ()]
-    stack = [_pack(masks, (), best)]
-    while stack:
-        child = next(stack[-1], None)
-        if child is None:
-            stack.pop()
-        else:
-            stack.append(child)
+    _search(_pack(masks, (), best))
     edge_of = dict(zip(masks, edges))
     return best[0], tuple(edge_of[e] for e in best[1])
 
@@ -248,9 +253,8 @@ def depth_k_incomparable_family(t: Tree, k: int) -> DisjointEdgeCertificate:
         # C_V' has a doping literal for every leaf of V' outside V, so the only
         # candidates are V' = s | e with s inside V and at most k leaves e outside.
         subs = [0]
-        for i in range(nl):
-            if mask >> i & 1:
-                subs += [s | 1 << i for s in subs]
+        for b in _bits(mask):
+            subs += [s | b for s in subs]
         outside = [1 << i for i in range(nl) if not mask >> i & 1]
         cands = {}  # C_V' -> the mask of V'
         for j in range(k + 1):
@@ -262,9 +266,11 @@ def depth_k_incomparable_family(t: Tree, k: int) -> DisjointEdgeCertificate:
                         cands[implicate(mv)] = mv
         members.append(tuple(sorted(map(cands.__getitem__, _edge_members(c, k, cands)))))
         edge_clauses.append(c)
-    # explicit pairwise disjointness check
-    for (i, a), (j, b) in itertools.combinations(enumerate(members), 2):
-        inter = set(a) & set(b)
-        if inter:
-            raise AssertionError(f"hyperedges {i} and {j} share members {sorted(inter)}")
+    # explicit pairwise disjointness check: each member belongs to one edge
+    owner: dict[int, int] = {}
+    for i, ms in enumerate(members):
+        for mv in ms:
+            j = owner.setdefault(mv, i)
+            if j != i:
+                raise AssertionError(f"hyperedges {j} and {i} share member {mv}")
     return DisjointEdgeCertificate(k, tuple(leaf_sets), tuple(edge_clauses), tuple(members))

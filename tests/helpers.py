@@ -28,7 +28,7 @@ from repkit import (
     pure_clause, reduce_r, refutation_level, smuo, unsat_level, variables,
     w_refutation_level,
 )
-from repkit import bench, translate, trees
+from repkit import bench, trees
 from repkit.core import _Trail, total_assignments
 from repkit.reductions import clause_key
 
@@ -944,7 +944,10 @@ def ref_extension_property(fp: ClauseSet, original_vars, dnf=None,
             break
     strong = uep and dnf is not None
     if strong:
-        order = translate._dnf_order(dnf)
+        if isinstance(dnf, (set, frozenset)):
+            order = sorted((frozenset(c) for c in dnf), key=clause_key)
+        else:
+            order = [frozenset(c) for c in dnf]
         for alloc in itertools.product((None, 0, 1), repeat=len(orig)):
             phi = {v: b for v, b in zip(orig, alloc) if b is not None}
             if not any(all((x > 0) == bool(phi.get(abs(x))) and abs(x) in phi

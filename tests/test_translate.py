@@ -147,6 +147,25 @@ def test_xor_chain_rejects_zero_and_a_repeated_variable(lits, bad):
         rk.xor_chain(lits)
 
 
+@pytest.mark.parametrize("build, name, first, top", [
+    (lambda v: rk.cant([[1]], first_new_var=v), "first_new_var", 1, 1),
+    (lambda v: rk.cant([[2], [1]], first_new_var=v), "first_new_var", 1, 2),
+    (lambda v: rk.cantm([[-3, 1]], first_new_var=v), "first_new_var", 2, 3),
+    (lambda v: rk.cant([rk.BOT], first_new_var=v), "first_new_var", 0, 0),
+    (lambda v: rk.xor_chain([1, 2, 3], first_aux=v), "first_aux", 2, 3),
+], ids=["cant-tautology", "cant-lost-clause", "cantm", "cant-empty-clause", "xor_chain"])
+def test_fresh_variables_must_lie_above_the_input(build, name, first, top):
+    """A fresh variable at or below an input variable would give a
+    tautology ({1, -1} from cant([[1]]) at 1), merge two selector clauses
+    or repeat a parity clause; it is refused instead."""
+    with pytest.raises(ValueError, match=f"{name} {first} is not above the largest input variable {top}"):
+        build(first)
+    res = build(top + 1)
+    assert min(v for c in res.ordered for v in map(abs, c) if v > top) == top + 1
+    assert all(c.isdisjoint(map(lambda x: -x, c)) for c in res.ordered)
+    assert len(set(res.ordered)) == len(res.ordered)
+
+
 def test_two_xor_system():
     for n in (3, 4, 5):
         f = rk.two_xor_system(n)

@@ -167,6 +167,14 @@ def test_certificate_one_leaf_block():
     assert mask in cert.members[0]
 
 
+def test_certificate_names_two_edges_that_share_a_member(monkeypatch):
+    """Two equal leaf sets give one edge twice: the disjointness check names
+    both edges and a member they share."""
+    monkeypatch.setattr(trigger, "_depth_k_leaf_blocks", lambda t, k: [[1, 2], [2, 1]])
+    with pytest.raises(AssertionError, match=r"hyperedges 0 and 1 share member 1$"):
+        rk.depth_k_incomparable_family(rk.extremal_tree(2, 3), 1)
+
+
 def _decode(vertices, m: int) -> frozenset:
     return frozenset(c for i, c in enumerate(vertices) if m >> i & 1)
 
@@ -246,3 +254,17 @@ def test_searches_prune_where_the_best_cannot_be_beaten(monkeypatch, k):
         trigger.transversal_number(h)
         sizes.append((packs[0], hits[0]))
     assert sizes == SEARCH_SIZES[k]
+
+
+def test_transversal_number_needs_no_recursion():
+    """1,000 singleton edges plus a triangle: tau = 1,000 + 2, with one
+    search node per vertex picked, deeper than the interpreter's recursion
+    limit."""
+    vs = [rk.clause(i) for i in range(1, 1004)]
+    edges = {c: frozenset({c}) for c in vs[:1000]}
+    triangle = vs[1000:]
+    edges.update((c, frozenset({c, triangle[(i + 1) % 3]})) for i, c in enumerate(triangle))
+    h = rk.TriggerHypergraph(0, tuple(vs), edges)
+    tau, hitting_set = rk.transversal_number(h)
+    assert tau == len(hitting_set) == 1002
+    assert all(hitting_set & e for e in edges.values())

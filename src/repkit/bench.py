@@ -17,13 +17,13 @@ the leaf paths P_i of T.  Generation is bit-deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate
 from math import comb
 from operator import neg
 
 from .core import Clause, SizeLimitExceeded, _nogc, emit_dimacs
-from .translate import cant, cantm, complement_clauses
-from .trees import _MAX_LITERALS, _leaf_depth_sum, alpha, extremal_tree, tree_clauses
+from .translate import cant, cantm
+from .trees import _MAX_LITERALS, _leaf_depth_sum, _leaf_paths, alpha, extremal_tree
 
 #: A tree-resolution refutation as index chains, in the manner of LRAT
 #: hints.  Clause i < len(F) is the input clause F[i]; chain j derives
@@ -90,16 +90,18 @@ def generate(spec: InstanceSpec) -> tuple[list[Clause], int]:
     if l > _MAX_LITERALS:
         raise SizeLimitExceeded(f"{spec.name} has {l} literals, above the limit of {_MAX_LITERALS}",
                                 budget="literals", limit=_MAX_LITERALS, progress=l)
-    paths = tree_clauses(extremal_tree(spec.k, spec.h))
+    paths = list(_leaf_paths(extremal_tree(spec.k, spec.h)))
     a = len(paths)                     # labels 1..a-1, so leaf i is doped with a + i
-    flipped = [p | {-(a + i)} for i, p in enumerate(paths)]
+    # union sizes a clause's table once; frozenset of a tuple grows it 4x at a time
+    flipped = [frozenset(p).union((-(a + i),)) for i, p in enumerate(paths)]
     if spec.variant == 1:
-        out = flipped + [p | {a + i} for i, p in enumerate(paths)]
-    else:                              # one clause per leaf: selectors start at 2a
-        del paths
+        out = flipped + [frozenset(p).union((a + i,)) for i, p in enumerate(paths)]
+    else:                              # the negation of F' as a DNF: selectors start at 2a
         translation = cant if spec.variant == 2 else cantm
-        out = flipped + list(translation(complement_clauses(flipped), first_new_var=2 * a).ordered)
-    return out, max(map(abs, chain.from_iterable(out)))
+        dnf = [(*map(neg, p), a + i) for i, p in enumerate(paths)]
+        del paths
+        out = flipped + list(translation(dnf, first_new_var=2 * a).ordered)
+    return out, max(map(abs, set().union(*out)))
 
 
 def instance_comments(spec: InstanceSpec) -> list[str]:

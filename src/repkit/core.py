@@ -17,14 +17,12 @@ with exactly k, since no other probe can fail (see `_Trail._close`).
 `assume` pushes phi_C, forming phi_C * F on F's trail until undone (solving
 under assumptions: Een and Sorensson, SAT 2003).
 
-The bulk builders of whole instances (`parse_dimacs`, `emit_dimacs`,
-`bench.generate` and the certificate check of `bench.verify`) run with the
-cyclic garbage collector paused (`_nogc`).
-They allocate a container per clause, and each collection would walk every
-clause already held, yet what they build holds no reference cycle (a test
-pins that `gc.collect()` finds nothing after them), so the pause defers no
-garbage of theirs.  It is process-wide: cyclic garbage that other threads
-make meanwhile waits until the call returns.
+`parse_dimacs` reads the body in one pass and leaves a body that pass
+refuses to a line-by-line loop that locates the error.  The bulk builders
+of whole instances (`parse_dimacs`, `emit_dimacs`, `bench.generate` and the
+certificate check of `bench.verify`) pause the cyclic garbage collector
+(`_nogc`): each collection would walk every clause held, and they make no
+reference cycle (a test pins that `gc.collect()` finds nothing after them).
 """
 
 from __future__ import annotations
@@ -458,26 +456,31 @@ def equivalent(f: ClauseSet, g: ClauseSet) -> bool:
 # DIMACS
 # ---------------------------------------------------------------------------
 
-class _Ints(dict):
-    """DIMACS token -> int, one int object per distinct token."""
+class _Memo(dict):
+    """key -> convert(key), made once per distinct key; one table per call."""
 
-    def __missing__(self, token: str) -> int:
-        self[token] = x = int(token)
-        return x
+    def __init__(self, convert: Callable) -> None:
+        self.convert = convert
+
+    def __missing__(self, key):
+        self[key] = value = self.convert(key)
+        return value
 
 
 @_nogc
 def parse_dimacs(text: str) -> tuple[list[Clause], str]:
     """Parse DIMACS CNF/DNF; returns (clause list in file order, format name).
 
-    The header is checked against the actual variable and clause counts.
-    """
+    The header is checked against the actual variable and clause counts.  A
+    body `_parse_body` refuses goes through the line loop, which names the
+    line of an error."""
     clauses: list[Clause] = []
     fmt = None
     nvars = nclauses = 0
     pending: list[int] = []
-    ints = _Ints()
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    ints = _Memo(int)
+    lines = text.splitlines()
+    for lineno, line in enumerate(lines, start=1):
         tokens = line.split()
         if not tokens or tokens[0][0] == "c":
             continue
@@ -491,6 +494,8 @@ def parse_dimacs(text: str) -> tuple[list[Clause], str]:
                 nvars, nclauses = int(tokens[2]), int(tokens[3])
             except ValueError:
                 raise DimacsError(f"line {lineno}: bad counts in {line.strip()!r}") from None
+            if (body := _parse_body(lines[lineno:], nvars, nclauses)) is not None:
+                return body, fmt
             continue
         if fmt is None:
             raise DimacsError(f"line {lineno}: clause before problem line")
@@ -498,11 +503,6 @@ def parse_dimacs(text: str) -> tuple[list[Clause], str]:
             lits = list(map(ints.__getitem__, tokens))
         except ValueError:
             raise DimacsError(f"line {lineno}: bad token in {line.strip()!r}") from None
-        if not pending and lits[-1] == 0 and lits.count(0) == 1:  # one whole clause
-            c = frozenset(lits[:-1])
-            if c.isdisjoint(map(neg, c)):
-                clauses.append(c)
-                continue                 # else clause() below raises its error
         start = 0  # lits[start:] is not yet part of a clause
         for _ in range(lits.count(0)):
             end = lits.index(0, start)
@@ -525,6 +525,25 @@ def parse_dimacs(text: str) -> tuple[list[Clause], str]:
     return clauses, fmt
 
 
+def _parse_body(lines: list[str], nvars: int, nclauses: int) -> list[Clause] | None:
+    """The clauses after the problem line in one pass, each line split at
+    each "0" between single spaces; None (for the line loop) unless every
+    line ends in such a "0", every token is an int, no clause holds a
+    complementary pair or a 0 ("-0", "00", a "0" by a tab: 0 is its own
+    complement), and the counts agree with the header."""
+    if not all(line.endswith(" 0") for line in lines):
+        return None
+    ints = _Memo(int)
+    try:
+        clauses = [frozenset(map(ints.__getitem__, c.split()))
+                   for line in lines for c in line[:-2].split(" 0 ")]
+    except ValueError:
+        return None
+    ok = (len(clauses) == nclauses and max(map(abs, ints.values()), default=0) <= nvars
+          and all(c.isdisjoint(map(neg, c)) for c in clauses))
+    return clauses if ok else None
+
+
 @_nogc
 def emit_dimacs(clauses: Iterable[Clause], fmt: str = "cnf",
                 comments: Iterable[str] = (), num_vars: int | None = None) -> str:
@@ -539,5 +558,6 @@ def emit_dimacs(clauses: Iterable[Clause], fmt: str = "cnf",
         num_vars = max(map(abs, itertools.chain.from_iterable(clauses)), default=0)
     lines = [f"c {s}" for s in comments]
     lines.append(f"p {fmt} {num_vars} {len(clauses)}")
-    lines += [" ".join(map(str, sorted(c, key=abs))) + " 0" for c in clauses]
+    token = _Memo(str).__getitem__
+    lines += [" ".join(map(token, sorted(c, key=abs))) + " 0" for c in clauses]
     return "\n".join(lines) + "\n"

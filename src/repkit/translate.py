@@ -53,17 +53,16 @@ def _selector_translation(dnf, first_new_var: int | None, kind: str) -> Translat
     order = [clause(*c) for c in _clause_order(dnf)]  # validation
     if not order:                      # empty disjunction: constant false
         return TranslationResult((BOT,), {}, kind)
-    v0 = _fresh(max(map(abs, itertools.chain.from_iterable(order)), default=0),
-                first_new_var, "first_new_var")
+    v0 = _fresh(max(map(abs, set().union(*order)), default=0), first_new_var, "first_new_var")
     new_vars = {v0 + i: c for i, c in enumerate(order)}
     out: list[Clause] = []
     for i, c in enumerate(order):
         out += map(frozenset, zip(itertools.repeat(-(v0 + i)), sorted(c, key=abs)))
     if kind == "cant":
-        out += [frozenset({v0 + i}) | complement(c) for i, c in enumerate(order)]
-    out.append(frozenset(v0 + i for i in range(len(order))))
-    ordered = tuple(dict.fromkeys(out))
-    return TranslationResult(ordered, new_vars, kind)
+        out += [complement(c).union((v0 + i,)) for i, c in enumerate(order)]  # union sizes it once
+    if kind == "cantm" or order != [BOT]:  # cant of the one empty term already has {v0}
+        out.append(frozenset(range(v0, v0 + len(order))))
+    return TranslationResult(tuple(out), new_vars, kind)
 
 
 def _fresh(top: int, first: int | None, name: str) -> int:

@@ -122,16 +122,19 @@ def tree_labels(t: Tree) -> set[int]:
     return {s.var for s, _, _ in _walk(t) if not s.is_leaf}
 
 
-def tree_clauses(t: Tree) -> list[Clause]:
-    """The clauses of smuo(T) in leaf order."""
-    out: list[Clause] = []
-    path: list[int] = []  # the edge literals from the root down
+def _leaf_paths(t: Tree):
+    """Yield the edge literals from the root to each leaf, in leaf order."""
+    path: list[int] = []
     for s, d, x in _walk(t):
         if d:
             path[d - 1:] = (x,)
         if s.is_leaf:
-            out.append(frozenset(path))
-    return out
+            yield tuple(path)
+
+
+def tree_clauses(t: Tree) -> list[Clause]:
+    """The clauses of smuo(T) in leaf order."""
+    return list(map(frozenset, _leaf_paths(t)))
 
 
 def smuo(t: Tree) -> ClauseSet:

@@ -57,6 +57,8 @@ def test_cant_degenerate():
     assert rk.cant([]).clauses == rk.BOT_SET
     res = rk.cant([rk.BOT])
     assert len(res.clauses) == 1 and rk.is_satisfiable(res.clauses)
+    # the one empty term's clause {s} is the long clause too: listed once
+    assert res.ordered == rk.cantm([rk.BOT]).ordered == (rk.clause(1),)
 
 
 def test_cant_represents_the_function():

@@ -456,15 +456,12 @@ def equivalent(f: ClauseSet, g: ClauseSet) -> bool:
 # DIMACS
 # ---------------------------------------------------------------------------
 
-class _Memo(dict):
-    """key -> convert(key), made once per distinct key; one table per call."""
+class _Ints(dict):
+    """DIMACS token -> int, one int object per distinct token."""
 
-    def __init__(self, convert: Callable) -> None:
-        self.convert = convert
-
-    def __missing__(self, key):
-        self[key] = value = self.convert(key)
-        return value
+    def __missing__(self, token: str) -> int:
+        self[token] = x = int(token)
+        return x
 
 
 @_nogc
@@ -472,14 +469,13 @@ def parse_dimacs(text: str) -> tuple[list[Clause], str]:
     """Parse DIMACS CNF/DNF; returns (clause list in file order, format name).
 
     The header is checked against the actual variable and clause counts.  A
-    body `_parse_body` refuses goes through the line loop, which names the
-    line of an error."""
+    body `_parse_body` refuses goes to the line loop, which locates the error."""
     clauses: list[Clause] = []
     fmt = None
     nvars = nclauses = 0
     pending: list[int] = []
-    ints = _Memo(int)
-    lines = text.splitlines()
+    ints = _Ints()
+    lines = text.rstrip().splitlines()  # trailing blank lines would hold back _parse_body
     for lineno, line in enumerate(lines, start=1):
         tokens = line.split()
         if not tokens or tokens[0][0] == "c":
@@ -494,8 +490,9 @@ def parse_dimacs(text: str) -> tuple[list[Clause], str]:
                 nvars, nclauses = int(tokens[2]), int(tokens[3])
             except ValueError:
                 raise DimacsError(f"line {lineno}: bad counts in {line.strip()!r}") from None
-            if (body := _parse_body(lines[lineno:], nvars, nclauses)) is not None:
-                return body, fmt
+            if (body := _parse_body(lines[lineno:], ints)) is not None:
+                clauses = body           # the counts are checked below
+                break
             continue
         if fmt is None:
             raise DimacsError(f"line {lineno}: clause before problem line")
@@ -503,6 +500,11 @@ def parse_dimacs(text: str) -> tuple[list[Clause], str]:
             lits = list(map(ints.__getitem__, tokens))
         except ValueError:
             raise DimacsError(f"line {lineno}: bad token in {line.strip()!r}") from None
+        if not pending and lits[-1] == 0 and lits.count(0) == 1:  # one whole clause
+            c = frozenset(lits[:-1])
+            if c.isdisjoint(map(neg, c)):
+                clauses.append(c)
+                continue                 # else clause() below raises its error
         start = 0  # lits[start:] is not yet part of a clause
         for _ in range(lits.count(0)):
             end = lits.index(0, start)
@@ -525,23 +527,17 @@ def parse_dimacs(text: str) -> tuple[list[Clause], str]:
     return clauses, fmt
 
 
-def _parse_body(lines: list[str], nvars: int, nclauses: int) -> list[Clause] | None:
-    """The clauses after the problem line in one pass, each line split at
-    each "0" between single spaces; None (for the line loop) unless every
-    line ends in such a "0", every token is an int, no clause holds a
-    complementary pair or a 0 ("-0", "00", a "0" by a tab: 0 is its own
-    complement), and the counts agree with the header."""
-    if not all(line.endswith(" 0") for line in lines):
+def _parse_body(lines: list[str], ints: _Ints) -> list[Clause] | None:
+    """The clauses after the problem line, split at each " 0 ", or None.  A
+    "0" left inside a clause ("-0", "00") is refused as its own complement."""
+    if not all(s.endswith(" 0") for s in lines):
         return None
-    ints = _Memo(int)
     try:
         clauses = [frozenset(map(ints.__getitem__, c.split()))
-                   for line in lines for c in line[:-2].split(" 0 ")]
+                   for s in lines for c in s[:-2].split(" 0 ")]
     except ValueError:
         return None
-    ok = (len(clauses) == nclauses and max(map(abs, ints.values()), default=0) <= nvars
-          and all(c.isdisjoint(map(neg, c)) for c in clauses))
-    return clauses if ok else None
+    return clauses if all(c.isdisjoint(map(neg, c)) for c in clauses) else None
 
 
 @_nogc
@@ -554,10 +550,11 @@ def emit_dimacs(clauses: Iterable[Clause], fmt: str = "cnf",
     it, so each variable occurs once in it.
     """
     clauses = _clause_order(clauses)
+    lits = set().union(*clauses)
     if num_vars is None:
-        num_vars = max(map(abs, itertools.chain.from_iterable(clauses)), default=0)
+        num_vars = max(map(abs, lits), default=0)
     lines = [f"c {s}" for s in comments]
     lines.append(f"p {fmt} {num_vars} {len(clauses)}")
-    token = _Memo(str).__getitem__
+    token = dict(zip(lits, map(str, lits))).__getitem__  # one str per literal
     lines += [" ".join(map(token, sorted(c, key=abs))) + " 0" for c in clauses]
     return "\n".join(lines) + "\n"

@@ -215,6 +215,9 @@ def dimacs_texts(draw):
 @example("p cnf 1 2\n1 0\n0\n")                    # the same, last
 @example("p cnf 2 2\r\n1 -2 0\r\n2 0\r\n")          # CRLF line ends
 @example("p cnf 2 3\n1 0\n2 0\n")                  # one clause too many in the header
+@example("p cnf 2 1\n1 0\n2 0\n")                  # one too few
+@example("p cnf 1 2\n1 0\n2 0\n")                  # a variable above the header's
+@example("p cnf 2 2\n1 -2 0 \n 0\n\n")             # trailing blanks, a lone " 0"
 @settings(max_examples=300, deadline=None)
 def test_parse_dimacs_matches_frozen_parser(text):
     """The same clause list, or the same DimacsError message, as the parser
@@ -229,21 +232,19 @@ def test_written_bodies_are_read_in_one_pass():
     clauses, n = rk.generate(spec)
     body = [s for s in rk.instance_dimacs(spec).splitlines() if s[0] not in "cp"]
     wrapped = [" ".join(body[i:i + 7]) for i in range(0, len(body), 7)]
-    assert core._parse_body(body, n, len(clauses)) == clauses
-    assert core._parse_body(wrapped, n, len(clauses)) == clauses
+    assert core._parse_body(body, core._Ints()) == clauses
+    assert core._parse_body(wrapped, core._Ints()) == clauses
 
 
 @pytest.mark.parametrize("body", [
     ["1\t-2\t0", "3\t0"], ["1\t0 2 0", "3 0"], ["1 -0 2 0", "3 0"], ["1 00 2 0", "3 0"],
     ["1 0", "c x", "2 0"], ["1 0", "0", "2 0"], ["1 0", "0"],
-    ["1 -1 0", "2 0"], ["1 x 0", "2 0"], ["1 0", "2"], ["1 0", "2 0", ""],
-    ["1 0", "2 0", "3 0"], ["1 0", "4 0"],
+    ["1 -1 0", "2 0"], ["1 x 0", "2 0"], ["1 0", "2"], ["1 0", "2 0", ""], ["1 -2 0 ", "2 0"],
 ])
 def test_other_bodies_are_left_to_the_line_loop(body):
     """Tabs, zero tokens other than "0", a comment, the empty clause, a
-    complementary pair, a bad token, a trailing literal or line, and counts
-    the header (3 variables, 2 clauses) does not give."""
-    assert core._parse_body(body, 3, 2) is None
+    complementary pair, a bad token, a trailing literal, line or space."""
+    assert core._parse_body(body, core._Ints()) is None
 
 
 @st.composite

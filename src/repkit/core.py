@@ -17,8 +17,8 @@ with exactly k, since no other probe can fail (see `_Trail._close`).
 `assume` pushes phi_C, forming phi_C * F on F's trail until undone (solving
 under assumptions: Een and Sorensson, SAT 2003).
 
-`parse_dimacs` reads the body in one pass and leaves a body that pass
-refuses to a line-by-line loop that locates the error.  The bulk builders
+`parse_dimacs` reads the problem line, then the body in one pass or, when
+that pass refuses it, in a line loop that locates the error.  The bulk builders
 of whole instances (`parse_dimacs`, `emit_dimacs`, `bench.generate` and the
 certificate check of `bench.verify`) pause the cyclic garbage collector
 (`_nogc`): each collection would walk every clause held, and they make no
@@ -468,57 +468,50 @@ class _Ints(dict):
 def parse_dimacs(text: str) -> tuple[list[Clause], str]:
     """Parse DIMACS CNF/DNF; returns (clause list in file order, format name).
 
-    The header is checked against the actual variable and clause counts.  A
-    body `_parse_body` refuses goes to the line loop, which locates the error."""
-    clauses: list[Clause] = []
-    fmt = None
-    nvars = nclauses = 0
-    pending: list[int] = []
-    ints = _Ints()
+    After the problem line, `_parse_body` reads the body; a body it refuses goes to
+    the line loop, which locates the error.  The header's counts are checked."""
     lines = text.rstrip().splitlines()  # trailing blank lines would hold back _parse_body
     for lineno, line in enumerate(lines, start=1):
         tokens = line.split()
         if not tokens or tokens[0][0] == "c":
             continue
-        if tokens[0][0] == "p":
-            if fmt is not None:
-                raise DimacsError(f"line {lineno}: duplicate problem line")
-            if len(tokens) != 4 or tokens[1] not in ("cnf", "dnf"):
-                raise DimacsError(f"line {lineno}: bad problem line {line.strip()!r}")
-            fmt = tokens[1]
-            try:
-                nvars, nclauses = int(tokens[2]), int(tokens[3])
-            except ValueError:
-                raise DimacsError(f"line {lineno}: bad counts in {line.strip()!r}") from None
-            if (body := _parse_body(lines[lineno:], ints)) is not None:
-                clauses = body           # the counts are checked below
-                break
-            continue
-        if fmt is None:
+        if tokens[0][0] != "p":
             raise DimacsError(f"line {lineno}: clause before problem line")
+        if len(tokens) != 4 or tokens[1] not in ("cnf", "dnf"):
+            raise DimacsError(f"line {lineno}: bad problem line {line.strip()!r}")
         try:
-            lits = list(map(ints.__getitem__, tokens))
+            fmt, nvars, nclauses = tokens[1], int(tokens[2]), int(tokens[3])
         except ValueError:
-            raise DimacsError(f"line {lineno}: bad token in {line.strip()!r}") from None
-        if not pending and lits[-1] == 0 and lits.count(0) == 1:  # one whole clause
-            c = frozenset(lits[:-1])
-            if c.isdisjoint(map(neg, c)):
-                clauses.append(c)
-                continue                 # else clause() below raises its error
-        start = 0  # lits[start:] is not yet part of a clause
-        for _ in range(lits.count(0)):
-            end = lits.index(0, start)
-            try:
-                clauses.append(clause(*pending, *lits[start:end]))
-            except ValueError as e:
-                raise DimacsError(f"line {lineno}: {e}") from None
-            pending = []
-            start = end + 1
-        pending += lits[start:]
-    if fmt is None:
+            raise DimacsError(f"line {lineno}: bad counts in {line.strip()!r}") from None
+        break
+    else:
         raise DimacsError("missing problem line")
-    if pending:
-        raise DimacsError("trailing literals without closing 0")
+    ints = _Ints()
+    clauses = _parse_body(lines[lineno:], ints)
+    if clauses is None:
+        clauses, pending = [], []
+        for lineno, line in enumerate(lines[lineno:], start=lineno + 1):
+            tokens = line.split()
+            if not tokens or tokens[0][0] == "c":
+                continue
+            try:
+                lits = list(map(ints.__getitem__, tokens))
+            except ValueError:
+                if tokens[0][0] == "p":  # no int starts with "p"
+                    raise DimacsError(f"line {lineno}: duplicate problem line") from None
+                raise DimacsError(f"line {lineno}: bad token in {line.strip()!r}") from None
+            start = 0  # lits[start:] is not yet part of a clause
+            for _ in range(lits.count(0)):
+                end = lits.index(0, start)
+                try:
+                    clauses.append(clause(*pending, *lits[start:end]))
+                except ValueError as e:
+                    raise DimacsError(f"line {lineno}: {e}") from None
+                pending = []
+                start = end + 1
+            pending += lits[start:]
+        if pending:
+            raise DimacsError("trailing literals without closing 0")
     if len(clauses) != nclauses:
         raise DimacsError(f"header says {nclauses} clauses, found {len(clauses)}")
     maxv = max(map(abs, ints.values()), default=0)

@@ -31,11 +31,10 @@ from dataclasses import dataclass
 from math import comb
 
 from .core import Clause, ClauseSet, SizeLimitExceeded, clause_key, complement
-from .trees import Tree, _depth_k_leaf_blocks, _implicate_builder, leaf_count
+from .trees import Tree, _depth_k_leaf_blocks, _implicate_builder
 
-# depth_k_incomparable_family refuses a tree with more than this many
-# implicates (2^leaves - 1) before doing any work.
-_MAX_IMPLICATES = 1 << 20
+# depth_k_incomparable_family refuses more implicate builds than this up front.
+_MAX_BUILDS = 2_000_000
 
 
 @dataclass
@@ -229,18 +228,21 @@ def depth_k_incomparable_family(t: Tree, k: int) -> DisjointEdgeCertificate:
     injectively into every other depth-k subtree.  Edge members are found
     from leaf masks alone: only the leaf sets V' = s | e with s inside V and
     at most k leaves e outside V are candidates, so the 2^leaves - 1
-    implicates are never listed.  Trees with more than _MAX_IMPLICATES
-    implicates are still refused up front.
+    implicates are never listed.  Each of the comb(m, r) leaf sets V builds
+    2^|V| * sum_{j <= k} C(leaves - |V|, j) implicates; more than _MAX_BUILDS
+    in all are refused up front.
     """
-    n_implicates = (1 << leaf_count(t)) - 1
-    if n_implicates > _MAX_IMPLICATES:
-        raise SizeLimitExceeded(
-            f"depth_k_incomparable_family over {n_implicates} > {_MAX_IMPLICATES} implicates",
-            budget="implicates", limit=_MAX_IMPLICATES, progress=n_implicates)
     blocks = _depth_k_leaf_blocks(t, k)
     m = min(len(b) for b in blocks)
     r = max(m // 2, 1)  # a one-leaf block still needs a non-empty leaf set
     count = comb(m, r)
+    size = r * len(blocks)  # |V|: r leaves of each block
+    rest = sum(map(len, blocks)) - size  # the leaves outside V
+    builds = (count << size) * sum(comb(rest, j) for j in range(k + 1))
+    if builds > _MAX_BUILDS:
+        raise SizeLimitExceeded(
+            f"depth_k_incomparable_family needs more than {_MAX_BUILDS} implicate builds",
+            budget="implicate builds", limit=_MAX_BUILDS, progress=builds)
     subsets = [list(itertools.islice(itertools.combinations(b, r), count)) for b in blocks]
     leaf_sets = [frozenset(i for s in subsets for i in s[pos]) for pos in range(count)]
 

@@ -155,6 +155,10 @@ def test_dimacs_errors(bad):
     ("c only a comment\n\n", "missing problem line"),
     ("p cnf 2 1\n1 0\n2\n", "trailing literals without closing 0"),
     ("p cnf 2 1\n1 0 -2", "trailing literals without closing 0"),
+    ("c x\n1 2 0\n", "line 2: clause before problem line"),
+    ("p xnf 1 0\n", "line 1: bad problem line 'p xnf 1 0'"),
+    ("p cnf 1\n", "line 1: bad problem line 'p cnf 1'"),
+    ("p cnf 1 1\n1\t0\n\tp cnf 1 1\n", "line 3: duplicate problem line"),  # loop-only body
 ])
 def test_dimacs_error_messages(bad, message):
     with pytest.raises(rk.DimacsError) as info:

@@ -80,4 +80,4 @@ def test_splitting_level_is_at_least_the_shortest_clause_length():
 
 
 def test_splitting_level_of_the_two_xor_systems():
-    assert [splitting_level(two_xor_system(n)) for n in (3, 4)] == [3, 4]
+    assert [splitting_level(two_xor_system(n)) for n in (3, 4, 5)] == [3, 4, 4]

@@ -179,6 +179,8 @@ def test_two_xor_system():
     for n, level in ((5, 4), (6, 5)):
         f = rk.two_xor_system(n)
         assert rk.refutation_level(f) == ref_refutation_level(f) == level
+    # the docstring's "for n = 3..8 it is 3, 4, 4, 5, 5, 5"
+    assert [rk.refutation_level(rk.two_xor_system(n)) for n in range(3, 9)] == [3, 4, 4, 5, 5, 5]
 
 
 def test_k_base_simple():

@@ -1,6 +1,7 @@
 import itertools
 import random
 import tracemalloc
+from math import comb
 
 import pytest
 
@@ -120,14 +121,36 @@ def test_certificate_json():
 
 
 def test_certificate_refuses_large_trees_before_allocating(monkeypatch):
-    t = rk.extremal_tree(2, 7)                   # 29 leaves: 2^29 - 1 implicates
-    with pytest.raises(rk.SizeLimitExceeded, match="implicates"):
+    t = rk.extremal_tree(2, 12)                  # 924 leaf sets of 12 leaves, 67 outside
+    with pytest.raises(rk.SizeLimitExceeded, match="implicate builds") as info:
         rk.depth_k_incomparable_family(t, 1)
-    t = rk.extremal_tree(2, 4)                   # 11 leaves fit the budget
+    assert (info.value.budget, info.value.limit, info.value.progress) == \
+        ("implicate builds", 2_000_000, 257_359_872)
+    t = rk.extremal_tree(2, 300)                 # 45,151 leaves: a count of 20,386 digits
+    with pytest.raises(rk.SizeLimitExceeded, match="^depth_k_incomparable_family needs more"):
+        rk.depth_k_incomparable_family(t, 0)
+    sizes = [rk.depth_k_incomparable_family(rk.extremal_tree(2, h), 1).size for h in (6, 7)]
+    assert sizes == [comb(6, 3), comb(7, 3)] == [20, 35]    # 22 and 29 leaves
+    t = rk.extremal_tree(2, 4)                   # 6 leaf sets, 768 builds
     assert rk.depth_k_incomparable_family(t, 1).size == 6
-    monkeypatch.setattr(trigger, "_MAX_IMPLICATES", 1000)
+    monkeypatch.setattr(trigger, "_MAX_BUILDS", 767)
     with pytest.raises(rk.SizeLimitExceeded):
         rk.depth_k_incomparable_family(t, 1)
+
+
+@pytest.mark.parametrize("k_tree, h, depth, builds", [
+    (1, 19, 0, 189_190_144), (3, 5, 0, 85_201_715_200), (1, 15, 0, 3_294_720),
+])
+def test_certificate_guard_counts_the_builds(monkeypatch, k_tree, h, depth, builds):
+    """Refused from the leaf blocks alone: no leaf set is formed."""
+    def refuse(*args):
+        raise AssertionError("leaf sets formed")
+
+    t = rk.extremal_tree(k_tree, h)
+    monkeypatch.setattr(itertools, "combinations", refuse)
+    with pytest.raises(rk.SizeLimitExceeded) as info:
+        rk.depth_k_incomparable_family(t, depth)
+    assert info.value.progress == builds
 
 
 @pytest.mark.parametrize("k_tree, h, depth", [

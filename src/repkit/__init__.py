@@ -6,6 +6,8 @@ DNF/XOR-to-CNF translations, trigger-hypergraph lower bounds, and a
 deterministic benchmark generator.
 """
 
+__version__ = "0.1.0"  # bound before the submodules, which may import it
+
 from .core import (
     BOT, BOT_SET, TOP, Assignment, Clause, ClauseSet, DimacsError,
     SizeLimitExceeded, apply_assignment, apply_clauses, canonical_dnf, clause,
@@ -19,10 +21,9 @@ from .reductions import (
     reduce_r_inf, refutation_level, relative_hardness, split_hardness_bound,
     substitute, unsat_level, w_hardness, w_refutation_level,
 )
-from .mps import (
-    DopedClauseSet, MpsWitness, dope, has_max_prime_implicates, is_mps,
-    is_total_mps, mps_subsets, mps_subsets_direct, prime_implicates_bounded,
-    pure_clause,
+from .translate import (
+    TranslationResult, cant, cantm, complement_clauses, dope, extension_property,
+    k_base, negate_doped, two_xor_system, xor_chain,
 )
 from .trees import (
     LEAF, NotSmu1Error, Tree, alpha, apply_literal, clause_for_leaves,
@@ -30,9 +31,9 @@ from .trees import (
     label_bfs, leaf_count, node, smuo, to_dot, tree_clauses, tree_labels,
     tsmuo,
 )
-from .translate import (
-    TranslationResult, cant, cantm, complement_clauses, extension_property,
-    k_base, negate_doped, two_xor_system, xor_chain,
+from .mps import (
+    MpsWitness, has_max_prime_implicates, is_mps, is_total_mps, mps_subsets,
+    mps_subsets_direct, prime_implicates_bounded, pure_clause,
 )
 from .trigger import (
     DisjointEdgeCertificate, TriggerHypergraph, depth_k_incomparable_family,
@@ -43,5 +44,3 @@ from .bench import (
     InstanceSpec, StatsRecord, default_grid, generate, instance_dimacs, stats,
     verify,
 )
-
-__version__ = "0.1.0"

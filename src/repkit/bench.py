@@ -21,6 +21,7 @@ from itertools import accumulate
 from math import comb
 from operator import neg
 
+from . import __version__
 from .core import Clause, SizeLimitExceeded, _nogc, emit_dimacs
 from .translate import cant, cantm
 from .trees import _MAX_LITERALS, _leaf_depth_sum, _leaf_paths, alpha, extremal_tree
@@ -64,6 +65,9 @@ class StatsRecord:
     hardness: int
     b_hk: int     # binomial(h-k, floor((h-k)/2))
     b_m: int      # binomial(1+h-k, floor((1+h-k)/2)), m = 1+h-k leaves
+    # Neither is a certificate size: depth_k_incomparable_family of
+    # extremal_tree(k, h) at width k-1 has binomial(2+h-k, floor((2+h-k)/2))
+    # edges, which is b_m at h+1 and b_hk at h+2.
 
 
 def stats(spec: InstanceSpec) -> StatsRecord:
@@ -105,7 +109,6 @@ def generate(spec: InstanceSpec) -> tuple[list[Clause], int]:
 
 
 def instance_comments(spec: InstanceSpec) -> list[str]:
-    from . import __version__
     rec = stats(spec)
     a = rec.alpha
     out = [

@@ -96,9 +96,9 @@ def cmd_mps(args) -> int:
 
 def cmd_dope(args) -> int:
     clauses, _ = _read_clauses(args.file)
-    d = mps.dope(frozenset(clauses))
+    d = translate.dope(frozenset(clauses))
     comments = [f"doping variable {u} for clause {' '.join(map(str, _clause_out(c)))}"
-                for c, u in d.doping_map.items()]  # in clause_key order, as dope numbers them
+                for u, c in d.new_vars.items()]  # in clause_key order, as dope numbers them
     _write(core.emit_dimacs(d.ordered, "cnf", comments), args.output)
     return 0
 

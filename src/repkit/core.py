@@ -272,8 +272,6 @@ class _Trail:
         from k = 3 on only: r_2 fails many literals, and the rescan after
         each costs more than the probes it saves.
         """
-        if k < 2:
-            return True
         value, trail = self.value, self.trail
         lits = range(2, len(value))      # variable 1 true, 1 false, 2 true, ...
         implied = [0] * len(value)       # round in which a probe reached it

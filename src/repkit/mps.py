@@ -1,11 +1,11 @@
-"""Minimal premise sets, pure clauses, and doping.
+"""Minimal premise sets and pure clauses.
 
 F' is a minimal premise set (mps) for a clause C if F' entails C but no
 strict subset does; the unique minimal conclusion of an mps is its pure
-clause (the literals without complementary occurrence).  Doping adds one
-fresh positive variable to every clause; the mps's of F then reappear as
-the prime implicates of the doped set, which makes them computable by one
-resolution closure.
+clause (the literals without complementary occurrence).  Doping
+(`translate.dope`) adds one fresh positive variable to every clause; the
+mps's of F then reappear as the prime implicates of the doped set, which
+makes them computable by one resolution closure.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ from .core import (
     literals, variables,
 )
 from .reductions import prime_implicates
+from .translate import dope
+from .trees import NotSmu1Error, tsmuo
 
 #: The most clauses `mps_subsets_direct` tests the 2^c subsets of.
 _MAX_DIRECT_CLAUSES = 16
@@ -27,48 +29,6 @@ def pure_clause(f: ClauseSet) -> Clause:
     """puc(F): the literals of F occurring in one sign only."""
     lits = literals(f)
     return frozenset(x for x in lits if -x not in lits)
-
-
-@dataclass
-class DopedClauseSet:
-    """A clause-set plus the bookkeeping of its doping variables.
-
-    doping_map maps each base clause to its (positive) doping variable;
-    ordered lists the doped clauses (base clause union doping literal) in
-    emission order, and clauses is their set.
-    """
-    doping_map: dict[Clause, int]
-    ordered: tuple[Clause, ...]
-
-    @property
-    def clauses(self) -> ClauseSet:
-        return frozenset(self.ordered)
-
-    @property
-    def base(self) -> ClauseSet:
-        return frozenset(self.doping_map)
-
-    @property
-    def doping_vars(self) -> frozenset[int]:
-        return frozenset(self.doping_map.values())
-
-    def inverse(self) -> dict[int, Clause]:
-        return {u: c for c, u in self.doping_map.items()}
-
-
-def dope(f: ClauseSet) -> DopedClauseSet:
-    """D(F): extend every clause by a fresh positive variable.
-
-    Doping variables are numbered from max var(F) + 1 following the canonical
-    clause order, so the construction is deterministic.
-    """
-    return _doped(sorted(f, key=clause_key), max((abs(x) for c in f for x in c), default=0) + 1)
-
-
-def _doped(base: list[Clause], u0: int) -> DopedClauseSet:
-    """The i-th base clause (0-based, in the given order) doped with u0 + i."""
-    ordered = tuple(c | {u0 + i} for i, c in enumerate(base))
-    return DopedClauseSet({c: u0 + i for i, c in enumerate(base)}, ordered)
 
 
 @dataclass(frozen=True)
@@ -105,7 +65,7 @@ def mps_subsets(f: ClauseSet) -> frozenset[MpsWitness]:
     doping variable occurs in C; the conclusion is C minus the doping part.
     """
     d = dope(f)
-    inv = d.inverse()
+    inv = d.new_vars
     out = set()
     for c in prime_implicates(d.clauses):
         subset = frozenset(inv[abs(x)] for x in c if abs(x) in inv)
@@ -132,7 +92,6 @@ def mps_subsets_direct(f: ClauseSet) -> frozenset[MpsWitness]:
 def is_total_mps(f: ClauseSet) -> bool:
     """Every non-empty subset of F an mps: phi_{puc(F)} must be contraction-
     free and send F into the saturated deficiency-1 class."""
-    from .trees import NotSmu1Error, tsmuo  # deferred: trees imports this module
     g = _puc_image(f)
     if g is None:
         return False

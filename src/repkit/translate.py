@@ -4,8 +4,10 @@ The canonical translation `cant` introduces one selector variable per DNF
 clause: selector implies each literal of its clause, the clause implies its
 selector, and the long clause demands some selector.  `cantm` drops the
 clause-to-selector direction, trading uniqueness of extensions for hardness
-always <= 1.  XOR constraints are translated along a chain of fresh parity
-variables, each link represented by its prime implicates.
+always <= 1.  Doping, `dope`, adds one fresh variable to every clause.  XOR
+constraints are translated along a chain of fresh parity variables, each link
+represented by its prime implicates.  cant, cantm, dope and xor_chain return
+a TranslationResult whose new_vars maps each fresh variable to its source.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from .core import (
     Assignment, BOT, Clause, ClauseSet, SizeLimitExceeded, _Trail, _clause_order,
     clause, clause_key, complement, is_satisfiable, total_assignments, variables,
 )
-from .mps import DopedClauseSet
 from .reductions import _essential, _level_under
 
 #: The most variables, original and new, `extension_property` enumerates.
@@ -28,7 +29,7 @@ _MAX_EXTENSION_VARS = 18
 class TranslationResult:
     ordered: tuple[Clause, ...]               # deterministic emission order
     new_vars: dict[int, Clause]               # fresh variable -> source clause
-    kind: str
+    kind: str                                 # "cant", "cantm", "dope" or "xor"
 
     @property
     def clauses(self) -> ClauseSet:
@@ -65,6 +66,17 @@ def _selector_translation(dnf, first_new_var: int | None, kind: str) -> Translat
     return TranslationResult(tuple(out), new_vars, kind)
 
 
+def dope(f) -> TranslationResult:
+    """D(F): extend every clause by a fresh positive variable.
+
+    The doping variables are numbered from max var(F) + 1 in the clause
+    order rule (a set sorted by clause_key, a sequence as given), and
+    new_vars maps each to its base clause."""
+    order = _clause_order(f)
+    new_vars = dict(enumerate(order, max((abs(x) for c in order for x in c), default=0) + 1))
+    return TranslationResult(tuple(c | {u} for u, c in new_vars.items()), new_vars, "dope")
+
+
 def _fresh(top: int, first: int | None, name: str) -> int:
     """first, or top + 1 when it is None; first must lie above top."""
     if first is not None and first <= top:
@@ -78,17 +90,18 @@ def complement_clauses(clauses) -> list[Clause]:
     return [complement(c) for c in _clause_order(clauses)]
 
 
-def negate_doped(d: DopedClauseSet) -> list[Clause]:
-    """For an unsatisfiable hitting base F, the hitting DNF equivalent to
-    D(F): complement the base literals of each clause, keep the doping
-    literal.  Raises if the base is not unsatisfiable hitting."""
-    base = sorted(d.doping_map, key=clause_key)
-    for c1, c2 in itertools.combinations(base, 2):
+def negate_doped(d: TranslationResult) -> list[Clause]:
+    """For the doping D(F) of an unsatisfiable hitting F, the hitting DNF
+    equivalent to D(F): complement the base literals of each clause, keep
+    the doping literal; sorted by the clause_key of the base clause.  Raises
+    if the base is not unsatisfiable hitting."""
+    base = sorted(d.new_vars.items(), key=lambda uc: clause_key(uc[1]))
+    for (_, c1), (_, c2) in itertools.combinations(base, 2):
         if not any(-x in c2 for x in c1):
             raise ValueError("base clause-set is not hitting")
-    if is_satisfiable(frozenset(base)):
+    if is_satisfiable(frozenset(d.new_vars.values())):
         raise ValueError("base clause-set is satisfiable")
-    return [complement(c) | {d.doping_map[c]} for c in base]
+    return [complement(c) | {u} for u, c in base]
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +170,7 @@ def k_base(prime: ClauseSet, k: int) -> ClauseSet:
     Greedy two-phase search: start from the necessary (essential) prime
     implicates and add the rest in ascending size while equivalence or the
     hardness bound still fails; then drop clauses in descending size where
-    possible.  Raises ValueError if even the full set exceeds hardness k.
+    possible.
     """
     order = sorted(prime, key=clause_key)
     necessary = _essential(prime)
@@ -176,9 +189,6 @@ def k_base(prime: ClauseSet, k: int) -> ClauseSet:
         if ok(f):
             break
         f.add(c)
-    if not ok(f):
-        raise ValueError(f"the function has no {k}-base: hardness of the "
-                         "full prime-implicate set already exceeds the bound")
     for c in sorted(f, key=clause_key, reverse=True):
         if c in necessary:
             continue

@@ -10,6 +10,9 @@ trees get their inner labels breadth-first.  One traversal owns that order:
 _walk, a pre-order walk on an explicit stack.  Every walk over a Tree goes
 through it (the bottom-up ones through _fold), and nothing here recurses,
 so trees of any depth are handled.
+
+doped_tree(T) is dope(smuo(T)) in leaf order; clause_for_leaves and
+_implicate_builder give its prime implicates C_V in closed form.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .core import Clause, ClauseSet, SizeLimitExceeded
-from .mps import DopedClauseSet, _doped
+from .translate import TranslationResult, dope
 
 #: The most literals `extremal_shape` and `bench.generate` build: the largest
 #: row of the paper's table, G2_k5_h35, has 49,595,888.
@@ -259,10 +262,11 @@ def extremal_tree(k: int, h: int) -> Tree:
 # doping of tree clause-sets
 # ---------------------------------------------------------------------------
 
-def doped_tree(t: Tree) -> DopedClauseSet:
-    """dope(smuo(T)) with the doping variable of leaf i (leaf order, 1-based)
-    numbered i after the largest label, so that it never meets a label."""
-    return _doped(tree_clauses(t), max(tree_labels(t), default=0) + 1)
+def doped_tree(t: Tree) -> TranslationResult:
+    """dope(smuo(T)) in leaf order: the variables of smuo(T) are its labels,
+    so the doping variable of leaf i (1-based) is numbered i after the
+    largest label and never meets one."""
+    return dope(tree_clauses(t))
 
 
 def clause_for_leaves(t: Tree, leaf_set: set[int] | frozenset[int]) -> Clause:

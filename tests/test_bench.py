@@ -3,6 +3,7 @@ import dataclasses
 import gc
 import hashlib
 import inspect
+import io
 import json
 import random
 import re
@@ -594,6 +595,60 @@ def test_cli_mps_and_dope(tmp_path, capsys):
     assert rc == 0
     rc, out = run_cli(capsys, "dope", str(path))
     assert rc == 0 and "p cnf 4 2" in out
+
+
+
+def _analyze_json(measure, f, **fields):
+    """What `repkit analyze` prints for f, from the library's answer."""
+    return {"measure": measure, "n": len(rk.variables(f)), "c": len(f), **fields}
+
+
+def _listed(g):
+    return [sorted(c, key=abs) for c in sorted(g, key=core.clause_key)]
+
+
+_UNSAT = rk.emit_dimacs(rk.two_xor_system(3))                 # hd 3
+_SAT = rk.emit_dimacs(rk.clause_set([[1, 2], [-1, 3], [-2, 3], [-3, 4, 5]]))
+_DNF = rk.emit_dimacs(rk.clause_set([[1, 2], [-1, 3]]), "dnf")
+
+
+@pytest.mark.parametrize("text, args, read, library", [
+    (_UNSAT, ["analyze", "--measure", "whd-unsat", "-"], json.loads,
+     lambda f, fmt: _analyze_json("whd-unsat", f, value=rk.w_refutation_level(f))),
+    (_UNSAT, ["analyze", "--measure", "rk", "--k", "2", "FILE"], json.loads,
+     lambda f, fmt: _analyze_json("rk", f, k=2, refuted=False, result=_listed(rk.reduce_r(f, 2)))),
+    (_UNSAT, ["analyze", "--measure", "rk", "--k", "3", "FILE"], json.loads,
+     lambda f, fmt: _analyze_json("rk", f, k=3, refuted=True, result=_listed(rk.reduce_r(f, 3)))),
+    (_SAT, ["analyze", "--measure", "rinf", "FILE"], json.loads,
+     lambda f, fmt: _analyze_json("rinf", f, refuted=False, result=_listed(rk.reduce_r_inf(f)))),
+    (_SAT, ["analyze", "--measure", "prime", "FILE"], json.loads,
+     lambda f, fmt: _analyze_json("prime", f, value=len(rk.prime_implicates(f)),
+                                  clauses=_listed(rk.prime_implicates(f)))),
+    (_SAT, ["analyze", "--measure", "essential", "FILE"], json.loads,
+     lambda f, fmt: _analyze_json("essential", f, value=len(rk.essential_prime_implicates(f)),
+                                  clauses=_listed(rk.essential_prime_implicates(f)))),
+    (_SAT, ["translate", "--mode", "cant", "FILE"], rk.parse_dimacs,
+     lambda f, fmt: (list(rk.cant(f).ordered), "cnf")),
+    (_DNF, ["translate", "--mode", "cantm", "-"], rk.parse_dimacs,
+     lambda f, fmt: (list(rk.cantm(f).ordered), "cnf")),
+    ("", ["stats", "--k", "2", "--h", "3", "--csv"], lambda out: [r.split(",") for r in out.splitlines()],
+     lambda f, fmt: [[fl.name for fl in dataclasses.fields(rk.StatsRecord)]] + [
+         list(map(str, dataclasses.astuple(rk.stats(rk.InstanceSpec(2, 3, v))))) for v in (1, 2, 3)]),
+], ids=["whd-unsat-stdin", "rk2", "rk3", "rinf", "prime", "essential", "cant-warns", "cantm-stdin",
+        "stats-csv"])
+def test_cli_output_equals_the_library_call(tmp_path, capsys, monkeypatch, text, args, read, library):
+    """Each output of the CLI, read back, equals the library's answer on the
+    same clauses; "-" reads the input from stdin, "FILE" from a file."""
+    path = tmp_path / "in.txt"
+    path.write_text(text)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    rc = cli.main([str(path) if a == "FILE" else a for a in args])
+    captured = capsys.readouterr()
+    clauses, fmt = rk.parse_dimacs(text) if text else ([], None)
+    assert rc == 0
+    assert read(captured.out) == library(clauses if args[0] == "translate" else frozenset(clauses), fmt)
+    warned = "warning: input not marked 'p dnf', reading clauses as DNF\n"
+    assert captured.err == (warned if args[0] == "translate" and fmt != "dnf" else "")
 
 
 # `repkit trigger` on the doped 6-leaf extremal tree (k = 1, h = 5), as the

@@ -309,3 +309,17 @@ def test_dimacs_roundtrip_clause_sets(cs, comments):
 def test_emit_dimacs_matches_frozen_emitter(clauses, comments, fmt, num_vars):
     assert rk.emit_dimacs(clauses, fmt, comments, num_vars) == \
         ref_emit_dimacs(clauses, fmt, comments, num_vars)
+
+
+_NOT_LEAVES = ("ValueError", "leaf_set must be a non-empty subset of the leaf numbers")
+
+
+@pytest.mark.parametrize("call, want", [
+    (lambda: rk.reduce_r(rk.clause_set([[1]]), -1), ("ValueError", "k must be >= 0")),
+    (lambda: rk.two_xor_system(2), ("ValueError", "needs n >= 3")),
+    (lambda: rk.clause_for_leaves(rk.extremal_tree(1, 2), set()), _NOT_LEAVES),
+    (lambda: rk.clause_for_leaves(rk.extremal_tree(1, 2), {2, 4}), _NOT_LEAVES),  # 3 leaves
+    (lambda: rk.sat_lit({1: 1}, -2), None),
+], ids=["reduce_r-negative-k", "two_xor_system-2", "no-leaves", "leaf-past-the-last", "sat_lit-unassigned"])
+def test_argument_edges_of_the_public_calls(call, want):
+    assert outcome(call) == want

@@ -4,6 +4,10 @@
 re-exports, and so is `from __future__ import annotations`.
 
 No function of repkit takes a size limit: each limit is a module constant.
+
+The modules import each other at the top only, and without a cycle, so the
+package loads in one order: core, reductions, translate, trees, mps, and
+the modules that read them.
 """
 
 import ast
@@ -43,3 +47,34 @@ def test_no_function_takes_a_max_parameter():
                     found += [f"{module.__name__}:{fn.__qualname__}({p})"
                               for p in inspect.signature(fn).parameters if p.startswith("max_")]
     assert found == []
+
+
+def _relative_imports():
+    """(module name, ast.ImportFrom node, enclosing function name or None)
+    for every relative import in src/repkit, inside functions included."""
+    for path in sorted(Path(repkit.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((id(n), fn.name) for n in ast.walk(fn))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                yield path.stem, node, owner.get(id(node))
+
+
+def test_module_imports_are_top_level_and_acyclic():
+    modules = {p.stem for p in Path(repkit.__file__).parent.glob("*.py")}
+    deferred = [f"{m}:{node.lineno} in {fn}" for m, node, fn in _relative_imports() if fn]
+    assert deferred == []
+    graph = {m: set() for m in modules}
+    for m, node, _ in _relative_imports():
+        # `from .x import ...` leads to x; `from . import y` to y if y is a module
+        graph[m] |= {node.module} if node.module else {a.name for a in node.names} & modules
+    left = dict(graph)
+    while left:  # peel off the modules that import none of the others left
+        peeled = [m for m, deps in left.items() if not deps & left.keys()]
+        assert peeled, f"an import cycle: none of {sorted(left)} can load first"
+        for m in peeled:
+            del left[m]
+    assert graph["mps"] >= {"translate", "trees"} and "mps" not in graph["trees"] | graph["translate"]

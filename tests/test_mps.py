@@ -24,25 +24,25 @@ def test_dope_shape():
     f = rk.clause_set([[1, 2], [-1, -2]])
     d = rk.dope(f)
     assert len(d.clauses) == len(f)
-    assert d.doping_vars == {3, 4}
-    assert d.base == f
+    assert set(d.new_vars) == {3, 4}
+    assert set(d.new_vars.values()) == f
     assert rk.is_satisfiable(d.clauses)
     # every clause got exactly one private new variable
-    for c, u in d.doping_map.items():
-        assert u in d.doping_vars and c | {u} in d.clauses
+    for u, c in d.new_vars.items():
+        assert u in {3, 4} and c | {u} in d.clauses
     # the emission order lists exactly the doped clauses, and must be given
     assert frozenset(d.ordered) == d.clauses and len(d.ordered) == len(f)
     with pytest.raises(TypeError):
-        rk.DopedClauseSet(d.doping_map)
+        rk.TranslationResult(d.ordered, d.new_vars)
 
 
 def test_dope_inverse():
     f = rk.clause_set([[1, 2], [-1, -2], [1, -2]])
     d = rk.dope(f)
-    inv = d.inverse()
-    assert set(inv) == d.doping_vars
-    for c, u in d.doping_map.items():
-        assert inv[u] == c
+    assert set(d.new_vars) == {3, 4, 5}
+    assert set(d.new_vars.values()) == f
+    for i, (u, c) in enumerate(d.new_vars.items()):
+        assert d.ordered[i] == c | {u}
 
 
 def test_is_mps():

@@ -98,9 +98,9 @@ def test_negate_doped():
     dnf = rk.negate_doped(d)
     # each conjunct complements its base clause and keeps the doping literal
     assert len(dnf) == len(d.ordered)
-    inv = d.inverse()
+    inv = d.new_vars
     for neg in dnf:
-        u = next(x for x in neg if x in d.doping_vars)
+        u = next(x for x in neg if x in inv)
         assert neg == rk.complement(inv[u]) | {u}
     # the DNF represents the same function as the doped clause-set
     vs = rk.variables(d.clauses)
@@ -115,10 +115,10 @@ def test_negate_doped():
 
 
 def test_negate_doped_rejects_bad_input():
-    f = rk.clause_set([[1, 2], [1, 3]])  # not unsatisfiable after undoping
-    d = rk.DopedClauseSet({rk.clause(1): 2, rk.clause(1, 3) - {3}: 3}, tuple(f))
-    with pytest.raises(ValueError):
-        rk.negate_doped(d)
+    for base, message in (([[1, 2], [1, 3]], "not hitting"),     # no clash between the two
+                          ([[1], [-1, 2]], "is satisfiable")):  # hitting, but {1, 2} satisfies it
+        with pytest.raises(ValueError, match=message):
+            rk.negate_doped(rk.dope(rk.clause_set(base)))
 
 
 def test_xor_chain_small():

@@ -160,7 +160,7 @@ def test_doped_tree():
     d = rk.doped_tree(t)
     assert d.ordered == (rk.clause(1, 2, 3), rk.clause(1, -2, 4),
                          rk.clause(-1, 5))
-    assert d.doping_vars == {3, 4, 5}
+    assert set(d.new_vars) == {3, 4, 5}
     assert rk.is_satisfiable(d.clauses)
 
 
@@ -170,7 +170,7 @@ def test_clause_for_leaves_singletons():
         t = random_tree(rng, rng.randint(2, 5))
         d = rk.doped_tree(t)
         first = max(rk.tree_labels(t)) + 1  # doping starts after the largest label
-        assert d.doping_vars == set(range(first, first + rk.leaf_count(t)))
+        assert set(d.new_vars) == set(range(first, first + rk.leaf_count(t)))
         for i in range(1, rk.leaf_count(t) + 1):
             assert rk.clause_for_leaves(t, {i}) == d.ordered[i - 1]
 
@@ -180,7 +180,7 @@ def test_doping_variables_never_reuse_a_label():
     t = rk.node(5, rk.LEAF, rk.node(7, rk.LEAF, rk.LEAF))
     d = rk.doped_tree(t)
     assert d.ordered == (rk.clause(5, 8), rk.clause(-5, 7, 9), rk.clause(-5, -7, 10))
-    assert not d.doping_vars & rk.tree_labels(t)
+    assert not set(d.new_vars) & rk.tree_labels(t)
     pairs = list(rk.doped_tree_implicates(t))
     assert frozenset(c for _, c in pairs) == rk.prime_implicates(d.clauses)
     for mask, c in pairs:

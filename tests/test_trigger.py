@@ -138,6 +138,24 @@ def test_certificate_refuses_large_trees_before_allocating(monkeypatch):
         rk.depth_k_incomparable_family(t, 1)
 
 
+@pytest.mark.parametrize("k_tree, h, size", [
+    *((1, h, s) for h, s in zip(range(2, 9), (3, 6, 10, 20, 35, 70, 126))),
+    *((2, h, s) for h, s in zip(range(3, 8), (3, 6, 10, 20, 35))),
+    (3, 4, 3),
+])
+def test_certificate_size_is_not_b_hk_nor_b_m(k_tree, h, size):
+    """At width k - 1 the certificate of extremal_tree(k, h) has
+    C(h - k + 2, floor((h - k + 2)/2)) edges: two heights past the stats
+    column b_hk = C(h - k, .) and one past b_m = C(h - k + 1, .)."""
+    d = h - k_tree
+    assert rk.depth_k_incomparable_family(rk.extremal_tree(k_tree, h), k_tree - 1).size == size
+    assert size == comb(d + 2, (d + 2) // 2)
+    if k_tree >= 2:
+        rec = rk.stats(rk.InstanceSpec(k_tree, h, 1))
+        assert (rec.b_hk, rec.b_m) == (comb(d, d // 2), comb(d + 1, (d + 1) // 2))
+        assert size not in (rec.b_hk, rec.b_m)
+
+
 @pytest.mark.parametrize("k_tree, h, depth, builds", [
     (1, 19, 0, 189_190_144), (3, 5, 0, 85_201_715_200), (1, 15, 0, 3_294_720),
 ])

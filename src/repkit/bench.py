@@ -10,8 +10,15 @@ with all doping literals flipped.  The three variants are
 
 Variable blocks: tree labels 1..a-1 breadth-first (a = leaf count), doping
 variables a..2a-1 by leaf number, translation selectors 2a..3a-1 in clause
-order: `generate` makes F_i = P_i + {a+i} and F'_i = P_i + {-(a+i)} from
-the leaf paths P_i of T.  Generation is bit-deterministic.
+order: F_i = P_i + {a+i} and F'_i = P_i + {-(a+i)} for the leaf paths P_i
+of T.  Generation is bit-deterministic.
+
+`_layout` is the one record of an instance's layout: a flat literal stream
+of every clause in emission order, ascending by variable (BFS labels grow
+along a path; doping and selector variables lie above every label), a 0
+after each, and the clause lengths.  `instance_dimacs` writes it in one
+join, building and sorting no clause, and `generate` reads its frozensets
+off slices of it.
 """
 
 from __future__ import annotations
@@ -22,8 +29,8 @@ from math import comb
 from operator import neg
 
 from . import __version__
-from .core import Clause, SizeLimitExceeded, _nogc, emit_dimacs
-from .translate import cant, cantm
+from .core import Clause, SizeLimitExceeded, _dimacs_text, _nogc, _stream_clauses
+from .translate import _selector_clauses, _selector_translation
 from .trees import _MAX_LITERALS, _leaf_depth_sum, _leaf_paths, alpha, extremal_tree
 
 #: A tree-resolution refutation as index chains, in the manner of LRAT
@@ -86,26 +93,42 @@ def stats(spec: InstanceSpec) -> StatsRecord:
 
 
 @_nogc
-def generate(spec: InstanceSpec) -> tuple[list[Clause], int]:
-    """The instance as an ordered clause list, plus its variable count.
-    Raises SizeLimitExceeded, before building anything, when the closed
-    form counts more than _MAX_LITERALS literals."""
+def _layout(spec: InstanceSpec) -> tuple[list[int], list[int]]:
+    """The instance as a flat literal stream, each clause's literals ascending
+    by variable and then 0, in emission order, plus the clause lengths.
+    Raises SizeLimitExceeded, before building anything, when the closed form
+    counts more than _MAX_LITERALS literals.  The collector is paused: the
+    tree and the path tuples would start collections that walk every clause
+    the caller holds."""
     l = stats(spec).l
     if l > _MAX_LITERALS:
         raise SizeLimitExceeded(f"{spec.name} has {l} literals, above the limit of {_MAX_LITERALS}",
                                 budget="literals", limit=_MAX_LITERALS, progress=l)
     paths = list(_leaf_paths(extremal_tree(spec.k, spec.h)))
     a = len(paths)                     # labels 1..a-1, so leaf i is doped with a + i
-    # union sizes a clause's table once; frozenset of a tuple grows it 4x at a time
-    flipped = [frozenset(p).union((-(a + i),)) for i, p in enumerate(paths)]
+    stream: list[int] = []
+    for u, p in enumerate(paths, a):   # BFS labels grow along a path, and u lies above them
+        stream += p
+        stream += (-u, 0)
+    lengths = [len(p) + 1 for p in paths]
     if spec.variant == 1:
-        out = flipped + [frozenset(p).union((a + i,)) for i, p in enumerate(paths)]
-    else:                              # the negation of F' as a DNF: selectors start at 2a
-        translation = cant if spec.variant == 2 else cantm
-        dnf = [(*map(neg, p), a + i) for i, p in enumerate(paths)]
-        del paths
-        out = flipped + list(translation(dnf, first_new_var=2 * a).ordered)
-    return out, max(map(abs, set().union(*out)))
+        for u, p in enumerate(paths, a):
+            stream += p
+            stream += (u, 0)
+        return stream, lengths * 2
+    terms = [(*map(neg, p), u) for u, p in enumerate(paths, a)]
+    del paths                          # the negation of F' as a DNF: selectors start at 2a
+    _selector_translation(terms, 2 * a, "cant" if spec.variant == 2 else "cantm", stream, lengths)
+    return stream, lengths
+
+
+@_nogc
+def generate(spec: InstanceSpec) -> tuple[list[Clause], int]:
+    """The instance as an ordered clause list, read off `_layout`'s stream,
+    plus its variable count.  Raises SizeLimitExceeded as `_layout` does."""
+    stream, lengths = _layout(spec)
+    clauses = (_stream_clauses if spec.variant == 1 else _selector_clauses)(stream, lengths)
+    return clauses, max(max(stream), -min(stream))
 
 
 def instance_comments(spec: InstanceSpec) -> list[str]:
@@ -124,8 +147,9 @@ def instance_comments(spec: InstanceSpec) -> list[str]:
 
 
 def instance_dimacs(spec: InstanceSpec) -> str:
-    clauses, n = generate(spec)
-    return emit_dimacs(clauses, "cnf", instance_comments(spec), num_vars=n)
+    """`_layout`'s stream written by `core._dimacs_text`: no clause is built or sorted."""
+    stream, lengths = _layout(spec)
+    return _dimacs_text(stream, len(lengths), "cnf", instance_comments(spec), None)
 
 
 def default_grid() -> list[tuple[int, int]]:

@@ -18,11 +18,14 @@ with exactly k, since no other probe can fail (see `_Trail._close`).
 under assumptions: Een and Sorensson, SAT 2003).
 
 `parse_dimacs` reads the problem line, then the body in one pass or, when
-that pass refuses it, in a line loop that locates the error.  The bulk builders
-of whole instances (`parse_dimacs`, `emit_dimacs`, `bench.generate` and the
-certificate check of `bench.verify`) pause the cyclic garbage collector
-(`_nogc`): each collection would walk every clause held, and they make no
-reference cycle (a test pins that `gc.collect()` finds nothing after them).
+that pass refuses it, in a line loop that locates the error.  `_dimacs_text`
+writes a flat literal stream in one join, and `_stream_clauses` reads
+frozensets off one.  The bulk builders of whole instances (`parse_dimacs`,
+`bench.generate`, `bench._layout` and the certificate check of
+`bench.verify`) pause the cyclic garbage collector (`_nogc`): each
+collection would walk every clause held, and they make no reference cycle
+(a test pins that `gc.collect()` finds nothing after them).  The pause
+bought `emit_dimacs` nothing, so it runs without one.
 """
 
 from __future__ import annotations
@@ -531,7 +534,6 @@ def _parse_body(lines: list[str], ints: _Ints) -> list[Clause] | None:
     return clauses if all(c.isdisjoint(map(neg, c)) for c in clauses) else None
 
 
-@_nogc
 def emit_dimacs(clauses: Iterable[Clause], fmt: str = "cnf",
                 comments: Iterable[str] = (), num_vars: int | None = None) -> str:
     """Serialize deterministically: given clause order, literals by variable within.
@@ -541,11 +543,48 @@ def emit_dimacs(clauses: Iterable[Clause], fmt: str = "cnf",
     it, so each variable occurs once in it.
     """
     clauses = _clause_order(clauses)
-    lits = set().union(*clauses)
+    stream: list = []
+    for c in clauses:
+        stream += sorted(c, key=abs) or (None,)  # None: the space before an empty clause's 0
+        stream.append(0)
+    return _dimacs_text(stream, len(clauses), fmt, comments, num_vars)
+
+
+def _dimacs_text(stream: list, nclauses: int, fmt: str, comments: Iterable[str],
+                 num_vars: int | None) -> str:
+    """The DIMACS text of a literal stream: each clause's literals in the order
+    given, then 0.  Each literal is written through a table of one "x " token
+    per distinct literal, 0 as "0\n" and None as " ", so the body is one join.
+    The variable count defaults to the largest variable in the stream."""
+    lits = set(stream).difference((0, None))
     if num_vars is None:
         num_vars = max(map(abs, lits), default=0)
-    lines = [f"c {s}" for s in comments]
-    lines.append(f"p {fmt} {num_vars} {len(clauses)}")
-    token = dict(zip(lits, map(str, lits))).__getitem__  # one str per literal
-    lines += [" ".join(map(token, sorted(c, key=abs))) + " 0" for c in clauses]
-    return "\n".join(lines) + "\n"
+    token = dict(zip(lits, map("{} ".format, lits)))
+    token.update({0: "0\n", None: " "})
+    head = [f"c {s}\n" for s in comments]
+    head.append(f"p {fmt} {num_vars} {nclauses}\n")
+    return "".join(itertools.chain(head, map(token.__getitem__, stream)))
+
+
+def _stream_clauses(stream: list[int], lengths: Iterable[int]) -> list[Clause]:
+    """The clauses of a literal stream (each clause's literals, then 0) with
+    these lengths, each at least 1, as frozensets read off slices of it.  A
+    run of binary clauses is read as pairs.  Any other clause is all but its
+    last literal as a frozenset, which `union` copies into a table sized once
+    and extends by the last: a frozenset of a list grows its table 4x at a
+    time, twice as large from 6 literals on."""
+    out: list[Clause] = []
+    p = 0                              # where the run starts
+    for binary, run in itertools.groupby(lengths, (2).__eq__):
+        if binary:
+            q = p + 3 * len(list(run))
+            out += map(frozenset, zip(itertools.islice(stream, p, q, 3),
+                                      itertools.islice(stream, p + 1, q, 3)))
+        else:
+            starts = list(itertools.accumulate(map((1).__add__, run), initial=p))
+            q = starts.pop()
+            lasts = list(map((-2).__add__, starts[1:] + [q]))  # where each last literal is
+            bodies = map(frozenset, map(stream.__getitem__, map(slice, starts, lasts)))
+            out += map(frozenset.union, bodies, zip(map(stream.__getitem__, lasts)))
+        p = q
+    return out

@@ -4,7 +4,9 @@ The canonical translation `cant` introduces one selector variable per DNF
 clause: selector implies each literal of its clause, the clause implies its
 selector, and the long clause demands some selector.  `cantm` drops the
 clause-to-selector direction, trading uniqueness of extensions for hardness
-always <= 1.  Doping, `dope`, adds one fresh variable to every clause.  XOR
+always <= 1.  Both are written by `_selector_translation` as a flat literal
+stream, which `bench` appends to its own, and their `ordered` clauses are
+read off it.  Doping, `dope`, adds one fresh variable to every clause.  XOR
 constraints are translated along a chain of fresh parity variables, each link
 represented by its prime implicates.  cant, cantm, dope and xor_chain return
 a TranslationResult whose new_vars maps each fresh variable to its source.
@@ -14,10 +16,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import neg
 
 from .core import (
     Assignment, BOT, Clause, ClauseSet, SizeLimitExceeded, _Trail, _clause_order,
-    clause, clause_key, complement, is_satisfiable, total_assignments, variables,
+    _stream_clauses, clause, clause_key, complement, is_satisfiable, total_assignments,
+    variables,
 )
 from .reductions import _essential, _level_under
 
@@ -40,30 +44,58 @@ def cant(dnf, first_new_var: int | None = None) -> TranslationResult:
     """Canonical CNF translation of a DNF (sequence input fixes the clause
     order; fresh selector variables are numbered in that order, from
     first_new_var if given, which must lie above every input variable)."""
-    return _selector_translation(dnf, first_new_var, "cant")
+    return _selector_result(dnf, first_new_var, "cant")
 
 
 def cantm(dnf, first_new_var: int | None = None) -> TranslationResult:
     """Reduced canonical translation: only selector-implies-literal clauses
     plus the long clause."""
-    return _selector_translation(dnf, first_new_var, "cantm")
+    return _selector_result(dnf, first_new_var, "cantm")
 
 
-def _selector_translation(dnf, first_new_var: int | None, kind: str) -> TranslationResult:
-    """cant; for kind "cantm" without the clause-implies-selector clauses."""
+def _selector_result(dnf, first_new_var: int | None, kind: str) -> TranslationResult:
     order = [clause(*c) for c in _clause_order(dnf)]  # validation
     if not order:                      # empty disjunction: constant false
         return TranslationResult((BOT,), {}, kind)
     v0 = _fresh(max(map(abs, set().union(*order)), default=0), first_new_var, "first_new_var")
-    new_vars = {v0 + i: c for i, c in enumerate(order)}
-    out: list[Clause] = []
-    for i, c in enumerate(order):
-        out += map(frozenset, zip(itertools.repeat(-(v0 + i)), sorted(c, key=abs)))
+    stream: list[int] = []
+    lengths: list[int] = []
+    _selector_translation([sorted(c, key=abs) for c in order], v0, kind, stream, lengths)
+    return TranslationResult(tuple(_selector_clauses(stream, lengths)),
+                             {v0 + i: c for i, c in enumerate(order)}, kind)
+
+
+def _selector_translation(terms: list, v0: int, kind: str, stream: list[int], lengths: list[int]) -> None:
+    """cant of the terms, each complement-free and ascending by variable, with
+    selectors s_i = v0 + i above all their variables; for kind "cantm"
+    without the clause-implies-selector clauses.  It is appended to a literal
+    stream, each clause's literals ascending by variable and then 0, and its
+    clause lengths to lengths: the binary clauses (x, -s_i) of every term,
+    then (kind "cant") each term's complement with s_i, then the long clause
+    of all selectors."""
+    selectors = range(v0, v0 + len(terms))
+    binary = len(stream)
+    stream += itertools.chain.from_iterable(zip(
+        itertools.chain.from_iterable(terms),
+        itertools.chain.from_iterable(map(itertools.repeat, map(neg, selectors), map(len, terms))),
+        itertools.repeat(0)))
+    lengths += itertools.repeat(2, (len(stream) - binary) // 3)
     if kind == "cant":
-        out += [complement(c).union((v0 + i,)) for i, c in enumerate(order)]  # union sizes it once
-    if kind == "cantm" or order != [BOT]:  # cant of the one empty term already has {v0}
-        out.append(frozenset(range(v0, v0 + len(order))))
-    return TranslationResult(tuple(out), new_vars, kind)
+        for s, t in zip(selectors, terms):
+            stream += map(neg, t)
+            stream += (s, 0)
+        lengths += [len(t) + 1 for t in terms]
+    if kind == "cantm" or terms != [[]]:  # cant of the one empty term already has {v0}
+        stream += selectors
+        stream.append(0)
+        lengths.append(len(terms))
+
+
+def _selector_clauses(stream: list[int], lengths: list[int]) -> list[Clause]:
+    """The clauses of a stream that ends in `_selector_translation`'s.  Its
+    last clause, the long one, is a frozenset of its slice, grown 4x at a
+    time as a frozenset of a range is."""
+    return _stream_clauses(stream, lengths[:-1]) + [frozenset(stream[-1 - lengths[-1]:-1])]
 
 
 def dope(f) -> TranslationResult:

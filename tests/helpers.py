@@ -811,6 +811,46 @@ def ref_emit_dimacs(clauses, fmt: str = "cnf", comments=(), num_vars: int | None
     return "\n".join(lines) + "\n"
 
 
+# ---------------------------------------------------------------------------
+# Instances as frozensets built one by one, before the literal stream
+# ---------------------------------------------------------------------------
+
+def ref_selector_translation(dnf, first_new_var: int | None, kind: str) -> tuple[tuple, dict]:
+    """cant ("cant") or cantm ("cantm") as (ordered, new_vars), each clause a
+    frozenset built on its own: the binary clauses (-s_i, x) term by term,
+    the cant term clauses, then the long clause."""
+    order = [_ref_clause(*c) for c in (sorted(dnf, key=clause_key)
+                                       if isinstance(dnf, (set, frozenset)) else dnf)]
+    if not order:
+        return (BOT,), {}
+    top = max((abs(x) for c in order for x in c), default=0)
+    if first_new_var is not None and first_new_var <= top:
+        raise ValueError(f"first_new_var {first_new_var} is not above the largest input variable {top}")
+    v0 = top + 1 if first_new_var is None else first_new_var
+    out: list[Clause] = []
+    for i, c in enumerate(order):
+        out += map(frozenset, zip(itertools.repeat(-(v0 + i)), sorted(c, key=abs)))
+    if kind == "cant":
+        out += [frozenset(-x for x in c).union((v0 + i,)) for i, c in enumerate(order)]
+    if kind == "cantm" or order != [BOT]:
+        out.append(frozenset(range(v0, v0 + len(order))))
+    return tuple(out), {v0 + i: c for i, c in enumerate(order)}
+
+
+def ref_generate(spec) -> tuple[list[Clause], int]:
+    """bench.generate as it built each clause from a tuple, with `union`
+    sizing the table of each path clause once."""
+    paths = [tuple(sorted(c, key=abs)) for c in ref_tree_clauses(trees.extremal_tree(spec.k, spec.h))]
+    a = len(paths)
+    out = [frozenset(p).union((-(a + i),)) for i, p in enumerate(paths)]
+    if spec.variant == 1:
+        out += [frozenset(p).union((a + i,)) for i, p in enumerate(paths)]
+    else:
+        dnf = [(*(-x for x in p), a + i) for i, p in enumerate(paths)]
+        out += ref_selector_translation(dnf, 2 * a, "cant" if spec.variant == 2 else "cantm")[0]
+    return out, max(abs(x) for c in out for x in c)
+
+
 # Frozen reference verify: DPLL (is_satisfiable) first, then, for an
 # unsatisfiable F, one trail of F climbed from r_2 up to r_n.  Reads
 # bench.stats and bench.generate at call time, so monkeypatching them

@@ -7,12 +7,14 @@ import io
 import json
 import random
 import re
+import sys
 
 import pytest
 
 import repkit as rk
 from repkit import bench, cli, core, trees
-from helpers import REFERENCE_TABLE, REFERENCE_ALPHA, ref_check_refutation, ref_leaf_depth_sum, ref_verify
+from helpers import (REFERENCE_TABLE, REFERENCE_ALPHA, ref_check_refutation, ref_generate,
+                     ref_leaf_depth_sum, ref_verify)
 
 
 def test_stats_against_frozen_table():
@@ -94,7 +96,7 @@ def test_instance_dimacs_pinned_bytes(row):
 
 ROW = bench.InstanceSpec(2, 22, 2)  # thousands of clauses: enough for collections to start
 BULK_BUILDERS = [(bench.generate, ROW),
-                 (core.emit_dimacs, frozenset(bench.generate(ROW)[0])),  # a set gets sorted
+                 (bench._layout, ROW),
                  (core.parse_dimacs, bench.instance_dimacs(ROW))]
 
 
@@ -197,6 +199,35 @@ def assert_verify_matches_reference(spec):
 def test_verify_equals_the_dpll_first_reference(k, h, variant):
     rep = assert_verify_matches_reference(bench.InstanceSpec(k, h, variant))
     assert rep["ok"] is True
+
+
+#: The family-hardness rungs and the rows of the paper's table no larger than G2_k3_h23.
+STREAM_SPECS = VERIFIED_SPECS[:12] + [
+    (k, h, v) for k, h in bench.default_grid() for v in (1, 2, 3)
+    if bench.stats(bench.InstanceSpec(k, h, v)).c <= bench.stats(bench.InstanceSpec(3, 23, 2)).c]
+
+
+@pytest.mark.parametrize("row", STREAM_SPECS, ids=lambda r: bench.InstanceSpec(*r).name)
+def test_the_text_and_the_clause_list_are_one_layout(row):
+    """instance_dimacs writes the stream that generate reads its clauses off:
+    the text parses to generate's list, and emitting that list gives the text."""
+    spec = bench.InstanceSpec(*row)
+    clauses, n = bench.generate(spec)
+    text = bench.instance_dimacs(spec)
+    assert core.parse_dimacs(text)[0] == clauses
+    assert text == core.emit_dimacs(clauses, "cnf", bench.instance_comments(spec), num_vars=n)
+
+
+@pytest.mark.parametrize("row", [(3, 23, 1), (3, 23, 2)], ids=lambda r: bench.InstanceSpec(*r).name)
+def test_generated_clauses_keep_their_table_sizes(row):
+    """Each clause read off the stream holds as much memory as the clause
+    built on its own from a tuple, `union` sizing its table once; a
+    frozenset of each slice would grow the long ones 4x at a time."""
+    spec = bench.InstanceSpec(*row)
+    clauses, n = bench.generate(spec)
+    want, want_n = ref_generate(spec)
+    assert (clauses, n) == (want, want_n)
+    assert sum(map(sys.getsizeof, clauses)) == sum(map(sys.getsizeof, want))
 
 
 def test_verify_runs_no_dpll_when_the_claim_holds(monkeypatch):

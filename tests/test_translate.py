@@ -5,7 +5,8 @@ import pytest
 
 import repkit as rk
 from repkit import translate
-from helpers import outcome, random_dnf, ref_extension_property, ref_refutation_level
+from helpers import (outcome, random_clause_set, random_dnf, ref_extension_property,
+                     ref_refutation_level, ref_selector_translation)
 
 
 def dnf_models(dnf, vs):
@@ -59,6 +60,34 @@ def test_cant_degenerate():
     assert len(res.clauses) == 1 and rk.is_satisfiable(res.clauses)
     # the one empty term's clause {s} is the long clause too: listed once
     assert res.ordered == rk.cantm([rk.BOT]).ordered == (rk.clause(1),)
+
+
+def random_selector_input(rng):
+    """A DNF as a list of tuples (literals shuffled, one repeated, an empty
+    term now and then) or as a frozenset of clauses, with or without a first
+    selector variable."""
+    terms = list(random_clause_set(rng, rng.randint(1, 9), rng.randint(0, 6), maxlen=5))
+    if rng.random() < 0.2:
+        terms.append(rk.BOT)
+    if rng.random() < 0.3:
+        return frozenset(terms), None
+    dnf = [tuple(rng.sample(sorted(c), len(c))) + tuple(rng.sample(sorted(c), min(1, len(c))))
+           for c in terms]
+    rng.shuffle(dnf)
+    top = max((abs(x) for c in dnf for x in c), default=0)
+    return dnf, rng.choice([None, top + 1, top + rng.randint(2, 9)])
+
+
+@pytest.mark.parametrize("build, kind", [(rk.cant, "cant"), (rk.cantm, "cantm")])
+def test_selector_translations_match_the_frozen_builder(build, kind):
+    """ordered and new_vars, read off the literal stream, are what building
+    each clause on its own gave, on 400 random DNFs."""
+    rng = random.Random(2503)
+    for _ in range(400):
+        dnf, first = random_selector_input(rng)
+        res = build(dnf, first)
+        assert (res.ordered, res.new_vars) == ref_selector_translation(dnf, first, kind), (dnf, first)
+        assert res.kind == kind
 
 
 def test_cant_represents_the_function():

@@ -569,17 +569,18 @@ def _dimacs_text(stream: list, nclauses: int, fmt: str, comments: Iterable[str],
 def _stream_clauses(stream: list[int], lengths: Iterable[int]) -> list[Clause]:
     """The clauses of a literal stream (each clause's literals, then 0) with
     these lengths, each at least 1, as frozensets read off slices of it.  A
-    run of binary clauses is read as pairs.  Any other clause is all but its
-    last literal as a frozenset, which `union` copies into a table sized once
-    and extends by the last: a frozenset of a list grows its table 4x at a
-    time, twice as large from 6 literals on."""
+    run of binary clauses is read as pairs, by index: an islice would skip
+    from the start of the stream for every run.  Any other clause is all but
+    its last literal as a frozenset, which `union` copies into a table sized
+    once and extends by the last: a frozenset of a list grows its table 4x
+    at a time, twice as large from 6 literals on."""
     out: list[Clause] = []
     p = 0                              # where the run starts
     for binary, run in itertools.groupby(lengths, (2).__eq__):
         if binary:
             q = p + 3 * len(list(run))
-            out += map(frozenset, zip(itertools.islice(stream, p, q, 3),
-                                      itertools.islice(stream, p + 1, q, 3)))
+            out += map(frozenset, zip(map(stream.__getitem__, range(p, q, 3)),
+                                      map(stream.__getitem__, range(p + 1, q, 3))))
         else:
             starts = list(itertools.accumulate(map((1).__add__, run), initial=p))
             q = starts.pop()

@@ -14,10 +14,11 @@ Literal scans run in a fixed order (ascending variable, positive literal
 first), so results are reproducible; verdicts are order-independent anyway.
 
 Every r_k with k >= 1 runs on the propagation engine `core._Trail`, one per
-call, also of `hardness`, `p_hardness` and `relative_hardness`, which push
-each phi_C onto F's trail and undo it.  Images phi * F are built only by
-`w_hardness` and `split_hardness_bound` here, and by `_Trail.image` and
-`models` in `core`.  r_1
+call, also of `hardness`, `p_hardness`, `relative_hardness` and
+`w_hardness`, which push each phi_C onto F's trail and undo it.  Images
+phi * F are built only by `split_hardness_bound` here, by `w_hardness` for
+an instance that r_1 leaves open (its k-resolution kernel works on
+clause-sets), and by `_Trail.image` and `models` in `core`.  r_1
 (`propagate_units`) is the trail's unit propagation.  From k = 2 on,
 failed literals are probed by push, propagate and pop on the trail (Lynce
 and Marques-Silva, ICTAI 2003), recursing on it for the r_{k-1} test, so no
@@ -203,11 +204,22 @@ def w_refutation_level(f: ClauseSet) -> int:
 
 
 def w_hardness(f: ClauseSet) -> HardnessReport:
-    """whd(F): like hardness, with k-resolution refutation levels."""
+    """whd(F): like hardness, with k-resolution refutation levels.
+
+    The level of phi_C * F is 0 if C is in F (as for hd) and 1 if r_1
+    refutes it on F's trail, since 1-resolution refutes exactly what unit
+    propagation refutes (WC_1 = UC_1).  Only the other instances are built
+    as images and saturated."""
+    t = _Trail(f)
+
     def level(c: Clause) -> int:
+        if c in f:
+            return 0
+        if _level_under(t, c, 1):
+            return 1
         return w_refutation_level(apply_assignment(falsifying_assignment(c), f))
 
-    return _max_over_prime_implicates(f, _Trail(f), "whd", level)[0]
+    return _max_over_prime_implicates(f, t, "whd", level)[0]
 
 
 def p_hardness(f: ClauseSet) -> HardnessReport:

@@ -11,11 +11,13 @@ the i-th vertex in clause_key order), depth first on one explicit stack
 (`_search`; a node yields its child searches, so nothing here recurses).
 The matching search takes the edges by size, carrying the later edges
 disjoint from all picked ones, and stops at a node once the picked edges
-plus the candidates left cannot beat the best.  Only a strictly larger
-matching replaces the best, so the first maximum matching in that order
-comes back, as from the plain search without the bound.  The hitting-set
-search branches on the vertices of the first edge not yet hit, lowest bit
-first, starting from a greedy hitting set.
+plus the distinct lowest vertices of the candidates left cannot beat the
+best: edges sharing their lowest vertex meet, so no matching holds two of
+them.  Only a strictly larger matching replaces the best, so the first
+maximum matching in that order comes back, as from the plain search
+without the bound.  The hitting-set search branches on the vertices of
+the first edge not yet hit, lowest bit first, starting from a greedy
+hitting set.
 
 For doped extremal trees the certificates of Sperner type are produced
 directly from leaf sets; the full hypergraph is never materialized.
@@ -168,12 +170,20 @@ def _pack(cands: list[int], picked: tuple[int, ...], best: list) -> Iterator:
     """Extend the matching `picked` by the candidates, the later edges
     disjoint from all of it, depth first in edge order; best holds the first
     largest matching found, replaced only by a strictly larger one.  Yields
-    the search of each child, bounded once the one before is done."""
+    the search of each child, bounded once the one before is done.
+
+    Edges with the same lowest vertex meet there, so cands[i:] holds at most
+    lows[i] disjoint edges, its number of distinct lowest vertices; the
+    search stops once picked plus that cannot beat the best."""
     if len(picked) > best[0]:
         best[0], best[1] = len(picked), picked
-    reach = len(picked) + len(cands)
+    lows, seen = [], set()
+    for e in reversed(cands):
+        seen.add(e & -e)
+        lows.append(len(seen))
+    lows.reverse()
     for i, e in enumerate(cands):
-        if reach - i <= best[0]:  # picked plus candidates left cannot beat the best
+        if len(picked) + lows[i] <= best[0]:
             return
         yield _pack([f for f in cands[i + 1:] if not f & e], picked + (e,), best)
 

@@ -185,6 +185,23 @@ def test_w_hardness_unit_refutation():
     assert rk.w_refutation_level(f) == 1
 
 
+def test_width_1_refutations_are_unit_refutations():
+    """WC_1 = UC_1, which `w_hardness` reads its level 1 off: an unsatisfiable
+    F without bot has a 1-resolution refutation exactly when r_1 refutes it."""
+    rng = random.Random(23)
+    seen = set()
+    for _ in range(300):
+        f = random_clause_set(rng, rng.randint(1, 6), rng.randint(1, 14), 3)
+        if rng.random() < .1:
+            f |= {rk.BOT}
+        if rk.is_satisfiable(f):
+            continue
+        unit = rk.propagate_units(f) == rk.BOT_SET and rk.BOT not in f
+        assert (rk.w_refutation_level(f) == 1) == unit, sorted(map(sorted, f))
+        seen.add(unit)
+    assert seen == {False, True}
+
+
 def test_w_refutation_level_skips_the_width_0_pass(monkeypatch):
     # width 0 never resolves: it refutes exactly the sets that contain bot
     widths = []

@@ -90,6 +90,19 @@ def test_selector_translations_match_the_frozen_builder(build, kind):
         assert res.kind == kind
 
 
+@pytest.mark.parametrize("build, kind", [(rk.cant, "cant"), (rk.cantm, "cantm")])
+def test_selector_translations_of_many_runs(build, kind):
+    """Alternating 1- and 2-literal terms: cant's term clauses alternate
+    between binary runs and longer clauses 4,000 times, each binary run read
+    at its own offset of the stream."""
+    dnf, v = [], 1
+    for i in range(8000):
+        dnf.append(tuple(range(v, v + 1 + i % 2)))
+        v += 1 + i % 2
+    res = build(dnf)
+    assert (res.ordered, res.new_vars) == ref_selector_translation(dnf, None, kind)
+
+
 def test_cant_represents_the_function():
     rng = random.Random(42)
     for _ in range(20):

@@ -273,18 +273,19 @@ def _count_calls(monkeypatch, name):
 
 # (_pack calls, _hit calls) on the doped trees of the test below
 SEARCH_SIZES = {
-    1: [(3753, 1), (8881, 109), (8282, 194)],
-    2: [(240, 51), (196, 11), (152, 11)],
+    1: [(91, 1), (235, 109), (4932, 194)],
+    2: [(131, 51), (163, 11), (72, 11)],
 }
 
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_searches_prune_where_the_best_cannot_be_beaten(monkeypatch, k):
     """Search sizes pinned on the doped 6-leaf trees: the matching search
-    stops at a node once the picked edges plus the candidates left cannot
-    beat the best matching, the hitting-set search once the chosen vertices
-    plus disjoint edges left cannot beat the best hitting set.  A weaker
-    bound returns the same outputs and is caught only here."""
+    stops at a node once the picked edges plus the distinct lowest vertices
+    of the candidates left cannot beat the best matching, the hitting-set
+    search once the chosen vertices plus disjoint edges left cannot beat the
+    best hitting set.  A weaker bound returns the same outputs and is caught
+    only here."""
     packs, hits = _count_calls(monkeypatch, "_pack"), _count_calls(monkeypatch, "_hit")
     sizes = []
     shapes = [rk.extremal_tree(1, 5)] + [trees.label_bfs(all_shapes(6)[i]) for i in (16, 19)]
@@ -297,15 +298,35 @@ def test_searches_prune_where_the_best_cannot_be_beaten(monkeypatch, k):
     assert sizes == SEARCH_SIZES[k]
 
 
-def test_transversal_number_needs_no_recursion():
-    """1,000 singleton edges plus a triangle: tau = 1,000 + 2, with one
-    search node per vertex picked, deeper than the interpreter's recursion
-    limit."""
+def _singletons_and_triangle() -> rk.TriggerHypergraph:
+    """1,000 singleton edges plus a triangle's three edges."""
     vs = [rk.clause(i) for i in range(1, 1004)]
     edges = {c: frozenset({c}) for c in vs[:1000]}
     triangle = vs[1000:]
     edges.update((c, frozenset({c, triangle[(i + 1) % 3]})) for i, c in enumerate(triangle))
-    h = rk.TriggerHypergraph(0, tuple(vs), edges)
+    return rk.TriggerHypergraph(0, tuple(vs), edges)
+
+
+def test_transversal_number_needs_no_recursion():
+    """1,000 singleton edges plus a triangle: tau = 1,000 + 2, with one
+    search node per vertex picked, deeper than the interpreter's recursion
+    limit."""
+    h = _singletons_and_triangle()
     tau, hitting_set = rk.transversal_number(h)
     assert tau == len(hitting_set) == 1002
-    assert all(hitting_set & e for e in edges.values())
+    assert all(hitting_set & e for e in h.edges.values())
+
+
+def test_matching_number_bounds_by_lowest_vertices(monkeypatch):
+    """1,000 singleton edges plus a triangle: nu = 1,000 + 1.  The first
+    path picks the singletons and one triangle edge; after it, every node's
+    candidates left have fewer distinct lowest vertices than the best needs,
+    so the search stops after 1,003 nodes.  Counting the candidates left
+    instead also searches, at every depth, the matchings that skip one more
+    singleton, about half a million nodes."""
+    packs = _count_calls(monkeypatch, "_pack")
+    h = _singletons_and_triangle()
+    nu, matching = rk.matching_number(h)
+    assert nu == len(matching) == 1001
+    assert all(not e & f for e, f in itertools.combinations(matching, 2))
+    assert packs[0] == 1003

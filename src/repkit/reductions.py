@@ -38,21 +38,22 @@ from the same prime implicates, with one r_hd run per (implicate, literal)
 pair instead of a walk over all instantiation images.  The module keeps no
 memo between calls.
 
-Prime implicates (no width bound) and whd (width k = 1, 2, ... in turn) run
-one resolution-saturation kernel, `_saturate`.  It holds each clause as an
-int literal bitmask, so resolution and subsumption are int operations, and
-indexes its database by each clause's highest bit for forward subsumption
-(clause signatures and occurrence lists after Een and Biere, "Effective
-preprocessing in SAT through variable and clause elimination", SAT 2005).
+Prime implicates and whd run two resolution drivers over one clause
+database, `_Clauses`, which holds each clause as an int literal bitmask and
+keeps it subsumption-free with per-literal occurrence sets (Een and Biere,
+"Effective preprocessing in SAT through variable and clause elimination",
+SAT 2005).  `prime_implicates` resolves on each variable once (Tison,
+1967); `_saturate`, for whd at width k = 1, 2, ... in turn, resolves each
+new clause with the database, one parent of length <= k.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from collections.abc import Callable
+from collections import Counter, deque
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
-from itertools import compress, repeat
-from operator import and_, itemgetter
+from itertools import compress, product
+from operator import itemgetter, neg
 
 from .core import (
     Assignment, BOT, BOT_SET, Clause, ClauseSet, SizeLimitExceeded, _Trail,
@@ -61,8 +62,8 @@ from .core import (
 )
 
 
-#: The most resolvents one `_saturate` run generates: one prime-implicate
-#: closure, or one width of k-resolution.
+#: The most distinct new resolvents one `prime_implicates` call, or one
+#: width of `_saturate`, generates.
 _MAX_RESOLVENTS = 10 ** 6
 #: The most variables `prime_implicates_bruteforce` scans 3^n clauses over.
 _MAX_BRUTEFORCE_VARS = 8
@@ -288,62 +289,133 @@ def split_hardness_bound(f: ClauseSet, vs: frozenset[int] | set[int]) -> int:
 # ---------------------------------------------------------------------------
 
 def prime_implicates(f: ClauseSet) -> ClauseSet:
-    """primec_0(F): resolution closure, keeping subsumption-minimal clauses.
+    """primec_0(F): {bot} for unsatisfiable F, the empty set for tautologies.
 
-    Returns {bot} for unsatisfiable F and the empty set for tautologies.
+    Tison's method (IEEE Trans. Electronic Computers EC-16, 1967): with F's
+    non-tautological clauses in a `_Clauses` database, each variable v is
+    resolved on once, every clause holding v with every one holding -v.  A
+    resolvent on v holds neither v nor -v, so one pass in any order leaves
+    exactly the prime implicates; the order is ascending |pos(v)| * |neg(v)|
+    in F, ties to the larger variable (Een and Biere's elimination order).
+    Raises SizeLimitExceeded at the first distinct new resolvent past
+    _MAX_RESOLVENTS.
     """
-    return _saturate(f, None)
+    f = [c for c in f if c.isdisjoint(map(neg, c))]
+    if BOT in f:
+        return BOT_SET
+    db = _Clauses(f)
+    seen = set(map(db.encode, f))
+    for c in seen:
+        db.insert(c)
+    occ = Counter(x for c in f for x in c)
+    cost = {v: occ[v] * occ[-v] for v in db.lits[::2]}
+    generated, clauses = 0, db.by_slot.values()
+    for v in sorted(filter(cost.get, cost), key=lambda v: (cost[v], -v)):
+        p, n = db.bit[v], db.bit[-v]
+        ps = [c ^ p for c in compress(clauses, map(p.__and__, clauses))]   # C - {v}
+        ns = [d ^ n for d in compress(clauses, map(n.__and__, clauses))]   # D - {-v}
+        for c, d in product(ps, ns):
+            r = c | d
+            if r in seen or r & (r >> 1) & db.even:      # seen, or a second clash
+                continue
+            if not r:
+                return BOT_SET
+            seen.add(r)
+            generated += 1
+            if generated > _MAX_RESOLVENTS:
+                raise _exhausted("resolution", generated)
+            db.insert(r)
+    return db.decode()
 
 
-def _saturate(f: ClauseSet, k: int | None) -> ClauseSet:
-    """Resolution closure of F with subsumption: {bot} once the empty clause
-    is derived, else the subsumption-minimal clauses (primec_0(F) when k is
-    None).  With a width k each step needs a parent of length <= k.
-    Raises SizeLimitExceeded past _MAX_RESOLVENTS resolvents.
+def _exhausted(budget: str, progress: int) -> SizeLimitExceeded:
+    return SizeLimitExceeded(f"{budget} budget of {_MAX_RESOLVENTS} resolvents exhausted",
+                             budget=budget, limit=_MAX_RESOLVENTS, progress=progress)
 
-    A clause is an int bitmask over sorted(var(F)): bit 2i is the i-th
-    variable and bit 2i + 1 its negation.  Swapping the even and odd bits
-    complements every literal, so c clashes with d in swap(c) & d; c <= d is
-    c & ~d == 0, and the length is the popcount.  Besides its insertion
-    order, the database is indexed by each clause's highest bit, and the
-    buckets of that index are what is returned.  A clause contained in c has
-    its highest bit in c, so forward subsumption scans only the buckets of
-    c's own bits, highest first.  Clauses are taken in clause_key order,
-    then first in, first out, and resolved with the database in insertion
-    order, so the resolvents and the budget count come out in the same order
-    as with clauses held as sets of literals.
+
+class _Clauses:
+    """A subsumption-free clause database.  A clause is an int bitmask over
+    sorted(var(F)), bit 2i the i-th variable and bit 2i + 1 its negation; it
+    holds a slot, and each literal the int set of the slots holding it.  The
+    clauses inside c hold no literal outside c, and those containing c hold
+    all of c's, so either subsumption test is one big-int operation per
+    literal (occurrence lists after Een and Biere, SAT 2005)."""
+
+    def __init__(self, f: Iterable[Clause]):
+        self.lits = [x for v in sorted(variables(f)) for x in (v, -v)]
+        self.bit = {x: 1 << i for i, x in enumerate(self.lits)}
+        self.full = (1 << len(self.lits)) - 1
+        self.even = self.full // 3                    # 0b0101...01: the positive literals
+        self.by_slot: dict[int, int] = {}             # slot -> clause, in insertion order
+        self.occ = [0] * len(self.lits)               # literal bit -> slots holding it
+        self.live = 0                                 # the slots in use
+
+    def encode(self, c: Clause) -> int:
+        return sum(map(self.bit.__getitem__, c))
+
+    def insert(self, c: int) -> bool:
+        """Adds c, dropping the clauses that contain it, unless a clause of
+        the database lies in c; returns whether c went in."""
+        occ, reach, over = self.occ, 0, self.live
+        for i in _bits(self.full ^ c):
+            reach |= occ[i]                           # the clauses with a literal outside c
+        if self.live & ~reach:
+            return False
+        for i in _bits(c):
+            over &= occ[i]                            # the clauses containing c
+        while over:
+            self._flip(self.by_slot[over & -over], over & -over)
+            over &= over - 1
+        self._flip(c, ~self.live & (self.live + 1))   # into the lowest free slot
+        return True
+
+    def _flip(self, c: int, slot: int) -> None:
+        """Puts c into its free slot, or takes it out of its slot."""
+        if self.live & slot:
+            del self.by_slot[slot]
+        else:
+            self.by_slot[slot] = c
+        self.live ^= slot
+        for i in _bits(c):
+            self.occ[i] ^= slot
+
+    def decode(self) -> ClauseSet:
+        lit = self.lits.__getitem__
+        return frozenset(frozenset(map(lit, _bits(d))) for d in self.by_slot.values())
+
+
+def _bits(c: int) -> Iterator[int]:
+    """The positions of c's set bits, lowest first."""
+    while c:
+        low = c & -c
+        yield low.bit_length() - 1
+        c ^= low
+
+
+def _saturate(f: ClauseSet, k: int) -> ClauseSet:
+    """Width-k resolution closure of F with subsumption, each step with a
+    parent of length <= k: {bot} once the empty clause is derived, else the
+    minimal clauses.  Clauses are taken in clause_key order, then first in,
+    first out, and resolved with the database in insertion order, as by the
+    earlier set-of-literals kernel, so SizeLimitExceeded comes after the
+    same clause, the first whose resolvents take the count past
+    _MAX_RESOLVENTS.
     """
-    vs = sorted(variables(f))
-    lits = [x for v in vs for x in (v, -v)]
-    bit = {x: 1 << i for i, x in enumerate(lits)}
-    full = (1 << len(lits)) - 1
-    even = full // 3                              # 0b0101...01: the positive literals
-    db: dict[int, None] = {}                      # insertion order, O(1) removal
-    by_top: dict[int, set[int]] = {}              # highest bit -> clauses of db
-    pending = deque(sum(map(bit.__getitem__, c)) for c in sorted(f, key=clause_key))
+    db = _Clauses(f)
+    pending = deque(map(db.encode, sorted(f, key=clause_key)))
     queued = set(pending)
-    generated, max_clauses = 0, _MAX_RESOLVENTS
+    generated = 0
     while pending:
         c = pending.popleft()
         if not c:
             return BOT_SET
-        outside = full ^ c
-        rest = c                                  # the bits whose bucket is still to scan
-        while rest:
-            top = 1 << (rest.bit_length() - 1)
-            bucket = by_top.get(top)
-            if bucket and not all(map(and_, repeat(outside), bucket)):
-                break                             # a clause of the bucket lies in c
-            rest ^= top
-        if rest:
+        if not db.insert(c):
             continue
-        for d in [d for d in db if d & c == c]:   # c <= d
-            del db[d]
-            by_top[1 << (d.bit_length() - 1)].remove(d)
-        partners = db if k is None or c.bit_count() <= k else \
-            [d for d in db if d.bit_count() <= k]
-        sc = ((c >> 1) & even) | ((c & even) << 1)
-        for d in partners:
+        clauses = db.by_slot.values()
+        partners = clauses if c.bit_count() <= k else [d for d in clauses if d.bit_count() <= k]
+        even = db.even
+        sc = ((c >> 1) & even) | ((c & even) << 1)    # c with every literal complemented
+        for d in partners:      # c itself is last, and clashes with itself in 0 or 2+ bits
             clash = sc & d
             if clash and not clash & (clash - 1):     # exactly one clashing literal
                 # drop it from d and its complement from c
@@ -352,15 +424,9 @@ def _saturate(f: ClauseSet, k: int | None) -> ClauseSet:
                     queued.add(r)
                     pending.append(r)
                     generated += 1
-        db[c] = None
-        by_top.setdefault(1 << (c.bit_length() - 1), set()).add(c)
-        if generated > max_clauses:
-            budget = "resolution" if k is None else f"k-resolution (width k = {k})"
-            raise SizeLimitExceeded(f"{budget} budget of {max_clauses} resolvents exhausted",
-                                    budget=budget, limit=max_clauses, progress=generated)
-    shifts = range(len(lits))
-    return frozenset(frozenset(compress(lits, map((1).__and__, map(d.__rshift__, shifts))))
-                     for bucket in by_top.values() for d in bucket)
+        if generated > _MAX_RESOLVENTS:
+            raise _exhausted(f"k-resolution (width k = {k})", generated)
+    return db.decode()
 
 
 def prime_implicates_bruteforce(f: ClauseSet) -> ClauseSet:

@@ -1,4 +1,5 @@
 import random
+from operator import neg
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -277,13 +278,37 @@ def test_prime_implicates_vs_bruteforce():
         assert rk.prime_implicates(f) == rk.prime_implicates_bruteforce(f)
 
 
+def test_prime_implicates_drop_tautological_clauses():
+    # a clause holding x and -x is entailed by anything: it is no implicate
+    f = frozenset({frozenset({-6, -5, 6}), frozenset({-4, -1, 5}), frozenset({2, 5})})
+    assert rk.prime_implicates(f) == rk.clause_set([[-4, -1, 5], [2, 5]])
+    assert rk.prime_implicates(frozenset({frozenset({1, -1})})) == rk.TOP
+    rng = random.Random(18)
+    for i in range(1200):                    # the sets of test_saturate_equals_frozen_kernel
+        nv = rng.randint(1, 8)
+        f = random_clause_set(rng, nv, rng.randint(0, 3 * nv), rng.randint(1, 4))
+        if i % 10 == 0:
+            v = rng.randint(1, nv)
+            f |= {frozenset({v, -v, rng.choice((1, -1)) * rng.randint(1, nv)})}
+            assert rk.prime_implicates(f) == rk.prime_implicates_bruteforce(f), \
+                sorted(map(sorted, f))
+
+
+def test_prime_implicates_of_the_15_leaf_doped_tree():
+    # one implicate per non-empty leaf set, 2^15 - 1 in all
+    t = rk.extremal_tree(3, 4)
+    want = frozenset(c for _, c in rk.doped_tree_implicates(t))
+    assert len(want) == 32767
+    assert rk.prime_implicates(rk.doped_tree(t).clauses) == want
+
+
 def test_resolution_budgets_name_the_budget_and_limit(monkeypatch):
     f = rk.two_xor_system(4)
     monkeypatch.setattr(reductions, "_MAX_RESOLVENTS", 30)
     with pytest.raises(rk.SizeLimitExceeded,
                        match=r"^resolution budget of 30 resolvents exhausted$") as info:
         rk.prime_implicates(f)
-    assert (info.value.budget, info.value.limit, info.value.progress) == ("resolution", 30, 32)
+    assert (info.value.budget, info.value.limit, info.value.progress) == ("resolution", 30, 31)
     # width 2 needs at most 30 resolvents, width 3 more
     reductions.clear_caches()
     with pytest.raises(rk.SizeLimitExceeded,
@@ -301,8 +326,11 @@ def test_resolution_budgets_name_the_budget_and_limit(monkeypatch):
 
 
 def assert_kernel_matches_frozen(f, budgets=(10 ** 6,)):
-    """Same clause-set as the frozen kernel, or the same budget message."""
-    for k in (None, 0, 1, 2, 3):
+    """Same clause-set as the frozen kernel, or the same budget message, at
+    widths 0..3.  prime_implicates gives the frozen kernel's closure of F's
+    non-tautological clauses, also with the variables renamed, or runs out
+    at the first resolvent past the budget."""
+    for k in (0, 1, 2, 3):
         for m in budgets:
             try:
                 want = ref_saturate(f, k, m)
@@ -317,6 +345,26 @@ def assert_kernel_matches_frozen(f, budgets=(10 ** 6,)):
                 assert got == f"{e.budget} budget of {m} resolvents exhausted"
                 assert e.limit == m and e.progress > m
             assert got == want, (sorted(map(sorted, f)), k, m)
+    want = ref_saturate(frozenset(c for c in f if c.isdisjoint(map(neg, c))), None, 10 ** 6)
+    assert rk.prime_implicates(f) == want, sorted(map(sorted, f))
+
+    def rename(g, to):
+        return frozenset(frozenset(to[x] if x > 0 else -to[-x] for x in c) for c in g)
+
+    vs = sorted(rk.variables(f))
+    perm = dict(zip(vs, random.Random(len(f)).sample(vs, len(vs))))
+    back = {w: v for v, w in perm.items()}
+    assert rename(rk.prime_implicates(rename(f, perm)), back) == want  # the order rule is free
+    for m in budgets:
+        try:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(reductions, "_MAX_RESOLVENTS", m)
+                got = rk.prime_implicates(f)
+        except rk.SizeLimitExceeded as e:
+            assert str(e) == f"resolution budget of {m} resolvents exhausted"
+            assert (e.budget, e.limit, e.progress) == ("resolution", m, m + 1)
+        else:
+            assert got == want, (sorted(map(sorted, f)), m)
 
 
 def test_saturate_equals_frozen_kernel():

@@ -43,8 +43,10 @@ database, `_Clauses`, which holds each clause as an int literal bitmask and
 keeps it subsumption-free with per-literal occurrence sets (Een and Biere,
 "Effective preprocessing in SAT through variable and clause elimination",
 SAT 2005).  `prime_implicates` resolves on each variable once (Tison,
-1967); `_saturate`, for whd at width k = 1, 2, ... in turn, resolves each
-new clause with the database, one parent of length <= k.
+1967); `_saturate`, for whd at width k = 1, 2, ... in turn, takes the
+shortest pending clause next, as the given-clause loop does (McCune,
+OTTER 3.0, 1994), and resolves it with the database, one parent of
+length <= k.
 """
 
 from __future__ import annotations
@@ -395,18 +397,23 @@ def _bits(c: int) -> Iterator[int]:
 def _saturate(f: ClauseSet, k: int) -> ClauseSet:
     """Width-k resolution closure of F with subsumption, each step with a
     parent of length <= k: {bot} once the empty clause is derived, else the
-    minimal clauses.  Clauses are taken in clause_key order, then first in,
-    first out, and resolved with the database in insertion order, as by the
-    earlier set-of-literals kernel, so SizeLimitExceeded comes after the
-    same clause, the first whose resolvents take the count past
-    _MAX_RESOLVENTS.
+    minimal clauses, which any fair order reaches.  The given clause is the
+    shortest pending one, first in, first out among equal lengths, with F
+    queued in clause_key order (lightest-first selection in the given-clause
+    loop, McCune, OTTER 3.0 Reference Manual and Guide, ANL-94/6, 1994), and
+    it is resolved with the database in insertion order.  Short clauses
+    subsume most later ones and resolve towards bot, so a refutation comes
+    long before the closure.  SizeLimitExceeded comes after the first
+    clause whose resolvents take the count past _MAX_RESOLVENTS.
     """
     db = _Clauses(f)
-    pending = deque(map(db.encode, sorted(f, key=clause_key)))
-    queued = set(pending)
+    pending = [deque() for _ in range(len(db.lits) + 1)]    # by clause length
+    for c in map(db.encode, sorted(f, key=clause_key)):
+        pending[c.bit_count()].append(c)
+    queued = set(map(db.encode, f))
     generated = 0
-    while pending:
-        c = pending.popleft()
+    while (shortest := next(filter(None, pending), None)) is not None:
+        c = shortest.popleft()
         if not c:
             return BOT_SET
         if not db.insert(c):
@@ -422,7 +429,7 @@ def _saturate(f: ClauseSet, k: int) -> ClauseSet:
                 r = (c ^ (clash << 1 if clash & even else clash >> 1)) | (d ^ clash)
                 if r not in queued:
                     queued.add(r)
-                    pending.append(r)
+                    pending[r.bit_count()].append(r)
                     generated += 1
         if generated > _MAX_RESOLVENTS:
             raise _exhausted(f"k-resolution (width k = {k})", generated)

@@ -15,6 +15,7 @@ where the library lets an r_k refutation prove unsatisfiability.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from collections import deque
@@ -206,7 +207,10 @@ def ref_reduce_r_inf(f: ClauseSet) -> ClauseSet:
 # Frozen reference resolution kernel: the saturation loop on frozenset
 # clauses that the bitmask kernel repkit.reductions._saturate replaced.  Each
 # new clause is checked for subsumption against the whole database and
-# resolved against every (width-eligible) database clause.
+# resolved against every (width-eligible) database clause.  Pending clauses
+# sit in one heap keyed by arrival, first in, first out as the replaced
+# kernel took them, or with shortest_first by (length, arrival), the
+# library's given-clause order.
 def _ref_resolve(c: Clause, d: Clause) -> Clause | None:
     clash = [x for x in c if -x in d]
     if len(clash) != 1:
@@ -215,13 +219,21 @@ def _ref_resolve(c: Clause, d: Clause) -> Clause | None:
     return (c - {x}) | (d - {-x})
 
 
-def ref_saturate(f: ClauseSet, k: int | None, max_clauses: int) -> ClauseSet:
+def ref_saturate(f: ClauseSet, k: int | None, max_clauses: int,
+                 shortest_first: bool = False) -> ClauseSet:
     db: list[Clause] = []
-    pending = deque(sorted(f, key=clause_key))
-    queued: set[Clause] = set(pending)
+    pending: list[tuple[int, int, Clause]] = []
+    arrival = itertools.count()
+
+    def push(c: Clause) -> None:
+        heapq.heappush(pending, (len(c) if shortest_first else 0, next(arrival), c))
+
+    for c in sorted(f, key=clause_key):
+        push(c)
+    queued: set[Clause] = set(f)
     generated = 0
     while pending:
-        c = pending.popleft()
+        c = heapq.heappop(pending)[2]
         if not c:
             return BOT_SET
         if any(d <= c for d in db):
@@ -232,7 +244,7 @@ def ref_saturate(f: ClauseSet, k: int | None, max_clauses: int) -> ClauseSet:
             r = _ref_resolve(c, d)
             if r is not None and r not in queued:
                 queued.add(r)
-                pending.append(r)
+                push(r)
                 generated += 1
         db.append(c)
         if generated > max_clauses:
@@ -266,9 +278,9 @@ def kres_refutes_nosubsumption(f: ClauseSet, k: int, cap: int = 10 ** 5) -> bool
             raise RuntimeError("closure oracle exploded")
 
 
-def whd_by_closure(f: ClauseSet) -> int:
+def whd_by_closure(f: ClauseSet, cap: int = 10 ** 5) -> int:
     for k in itertools.count():
-        if kres_refutes_nosubsumption(f, k):
+        if kres_refutes_nosubsumption(f, k, cap):
             return k
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repkit as rk
-from repkit import core, mps, reductions, translate
+from repkit import bench, core, mps, reductions, translate
 from helpers import (
     all_shapes,
     outcome,
@@ -221,9 +221,9 @@ def test_w_refutation_level_skips_the_width_0_pass(monkeypatch):
             rk.w_refutation_level(sat)
     assert widths == [1, 1, 2]  # one pass per width from 1, none at width 0
 
-    def parent_loop(f, m):
+    def parent_loop(f, m, shortest_first):
         for k in range(len(rk.variables(f)) + 1):
-            if ref_saturate(f, k, m) == rk.BOT_SET:
+            if ref_saturate(f, k, m, shortest_first) == rk.BOT_SET:
                 return k
         raise ValueError("w_refutation_level requires an unsatisfiable clause-set")
 
@@ -234,7 +234,33 @@ def test_w_refutation_level_skips_the_width_0_pass(monkeypatch):
             f |= {rk.BOT}
         for m in (0, 1, 4, 10 ** 6):
             monkeypatch.setattr(reductions, "_MAX_RESOLVENTS", m)
-            assert outcome(rk.w_refutation_level, f) == outcome(parent_loop, f, m)
+            assert outcome(rk.w_refutation_level, f) == outcome(parent_loop, f, m, True)
+        assert outcome(rk.w_refutation_level, f) == outcome(parent_loop, f, 10 ** 6, False)
+
+
+def test_w_refutation_level_on_rows_the_fifo_kernel_could_not_finish():
+    """Rows on which a first-in, first-out kernel took 0.4 to 4 s or ran out
+    of budget after 3 to 25 s.  Each whd is at most hd, at least 2 where r_1
+    leaves F open (WC_1 = UC_1), and above whd - 1, where the frozen FIFO
+    kernel's whole closure holds no bot; it equals the subsumption-free
+    closure oracle wherever that stays within 2,000 clauses, as on the
+    control two_xor_system(3)."""
+    rows = [(rk.two_xor_system(n), 3) for n in (3, 5, 6, 7, 8)]
+    rows += [(frozenset(bench.generate(bench.InstanceSpec(k, h, v))[0]), whd)
+             for v, k, h, whd in ((1, 2, 5, 3), (1, 3, 5, 4), (2, 2, 6, 2), (3, 2, 7, 2))]
+    closed = 0
+    for f, want in rows:
+        whd = rk.w_refutation_level(f)
+        assert whd == want
+        assert whd <= rk.refutation_level(f)
+        assert whd >= 2 or rk.propagate_units(f) == rk.BOT_SET
+        assert ref_saturate(f, whd - 1, 10 ** 6) != rk.BOT_SET
+        try:
+            assert whd_by_closure(f, 2000) == whd
+            closed += 1
+        except RuntimeError:                  # the closure oracle outgrew its cap
+            pass
+    assert closed
 
 
 F3 = rk.clause_set([[1, 2], [-2, 3], [-1, -3]])
@@ -326,25 +352,27 @@ def test_resolution_budgets_name_the_budget_and_limit(monkeypatch):
 
 
 def assert_kernel_matches_frozen(f, budgets=(10 ** 6,)):
-    """Same clause-set as the frozen kernel, or the same budget message, at
-    widths 0..3.  prime_implicates gives the frozen kernel's closure of F's
-    non-tautological clauses, also with the variables renamed, or runs out
-    at the first resolvent past the budget."""
+    """At widths 0..3, the frozen FIFO kernel's clause-set at the 10^6
+    budget, and at every budget the frozen shortest-first kernel's
+    clause-set, or its budget message and progress.  prime_implicates gives
+    the frozen kernel's closure of F's non-tautological clauses, also with
+    the variables renamed, or runs out at the first resolvent past the
+    budget."""
+    def run(saturate, m):
+        try:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(reductions, "_MAX_RESOLVENTS", m)
+                return saturate()
+        except rk.SizeLimitExceeded as e:
+            assert str(e) == f"{e.budget} budget of {m} resolvents exhausted"
+            assert e.limit == m and e.progress > m
+            return str(e), e.progress
+
     for k in (0, 1, 2, 3):
+        assert reductions._saturate(f, k) == ref_saturate(f, k, 10 ** 6), (sorted(map(sorted, f)), k)
         for m in budgets:
-            try:
-                want = ref_saturate(f, k, m)
-            except rk.SizeLimitExceeded as e:
-                want = str(e)
-            try:
-                with pytest.MonkeyPatch.context() as mp:
-                    mp.setattr(reductions, "_MAX_RESOLVENTS", m)
-                    got = reductions._saturate(f, k)
-            except rk.SizeLimitExceeded as e:
-                got = str(e)
-                assert got == f"{e.budget} budget of {m} resolvents exhausted"
-                assert e.limit == m and e.progress > m
-            assert got == want, (sorted(map(sorted, f)), k, m)
+            want = run(lambda: ref_saturate(f, k, m, shortest_first=True), m)
+            assert run(lambda: reductions._saturate(f, k), m) == want, (sorted(map(sorted, f)), k, m)
     want = ref_saturate(frozenset(c for c in f if c.isdisjoint(map(neg, c))), None, 10 ** 6)
     assert rk.prime_implicates(f) == want, sorted(map(sorted, f))
 

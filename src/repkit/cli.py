@@ -6,6 +6,7 @@
     repkit tree     --k 2 --h 3 [--emit cnf|doped|dot]
     repkit translate --mode cant FILE.dnf [-o OUT]
     repkit trigger  --k 1 FILE.cnf
+    repkit trigger  --tree K H [--width W]
     repkit generate --k 2 --h 22 --variant 1 [-o OUT]
     repkit stats    [--table | --k K --h H [--variant V]] [--json]
     repkit verify   --k K --h H --variant V [--level formulas|hardness]
@@ -134,6 +135,11 @@ def cmd_translate(args) -> int:
 
 
 def cmd_trigger(args) -> int:
+    if args.tree:
+        k_tree, h = args.tree
+        width = k_tree - 1 if args.width is None else args.width
+        print(trigger.depth_k_incomparable_family(trees.extremal_tree(k_tree, h), width).to_json())
+        return 0
     clauses, _ = _read_clauses(args.file)
     p = reductions.prime_implicates(frozenset(clauses))
     h = trigger.trigger_hypergraph(p, args.k)
@@ -227,9 +233,12 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output")
     p.set_defaults(fn=cmd_translate)
 
-    p = sub.add_parser("trigger", help="trigger hypergraph bounds")
-    p.add_argument("file")
+    p = sub.add_parser("trigger", help="trigger hypergraph bounds, or a separation certificate")
+    p.add_argument("file", nargs="?")
     p.add_argument("--k", type=int, default=1)
+    p.add_argument("--tree", type=int, nargs=2, metavar=("K", "H"),
+                   help="certify the doped extremal_tree(K, H) instead of reading a file")
+    p.add_argument("--width", type=int, help="the certificate's width (default K - 1)")
     p.set_defaults(fn=cmd_trigger)
 
     p = sub.add_parser("generate", help="benchmark instances")
@@ -264,6 +273,10 @@ def main(argv: list[str] | None = None) -> int:
         ap.error("stats needs --table or both --k and --h")
     if args.cmd == "translate" and args.mode == "xor" and not args.xor:
         ap.error("--mode xor needs --xor 'lits'")
+    if args.cmd == "trigger" and (args.file is None) == (args.tree is None):
+        ap.error("trigger needs either FILE or --tree K H")
+    if args.cmd == "trigger" and args.width is not None and args.tree is None:
+        ap.error("--width needs --tree K H")
     try:
         return args.fn(args)
     except core.DimacsError as e:

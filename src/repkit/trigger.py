@@ -5,6 +5,8 @@ the implicates compatible with C (no clash with the complement of C) that
 reach C by forgetting at most k literals.  Every equivalent clause-set of
 asymmetric width <= k must hit every such edge, so the transversal number
 tau (and hence the matching number nu) lower-bounds its clause count.
+The edges are found on literal masks (`_hyperedges`): two int tests per
+pair of clauses.
 
 Both numbers are exact, by branch and bound on int vertex masks (bit i is
 the i-th vertex in clause_key order), depth first on one explicit stack
@@ -20,7 +22,11 @@ the first edge not yet hit, lowest bit first, starting from a greedy
 hitting set.
 
 For doped extremal trees the certificates of Sperner type are produced
-directly from leaf sets; the full hypergraph is never materialized.
+directly from leaf sets; the full hypergraph is never materialized.  The
+members of each certificate edge come from one fold over the tree that
+keeps, per subtree, only the parts of leaf sets still within k literals of
+the edge's clause; a budget on the pairs of parts it combines
+(_MAX_FOLD_PAIRS) bounds its work.
 """
 
 from __future__ import annotations
@@ -32,11 +38,11 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from math import comb
 
-from .core import Clause, ClauseSet, SizeLimitExceeded, clause_key, complement
-from .trees import Tree, _depth_k_leaf_blocks, _implicate_builder
+from .core import Clause, ClauseSet, SizeLimitExceeded, clause_key, variables
+from .trees import Tree, _depth_k_leaf_blocks, _fold, _implicate_builder, _labels
 
-# depth_k_incomparable_family refuses more implicate builds than this up front.
-_MAX_BUILDS = 2_000_000
+# depth_k_incomparable_family refuses to combine more member pairs than this.
+_MAX_FOLD_PAIRS = 2_000_000
 
 
 @dataclass
@@ -46,27 +52,37 @@ class TriggerHypergraph:
     edges: dict[Clause, frozenset[Clause]]    # vertex C -> its hyperedge E^k_C
 
 
-def _edge_members(c: Clause, k: int, cands: Iterable[Clause]) -> Iterator[Clause]:
-    """The clauses cp of cands in E^k_C: compatible with C and at most k
-    literals outside C.  The complement of C is taken once per call."""
-    comp_c = complement(c)
-    return (cp for cp in cands if not (cp & comp_c) and len(cp - c) <= k)
+def _hyperedges(p: Iterable[Clause], cs: Iterable[Clause], k: int) -> list[frozenset[Clause]]:
+    """E^k_C over p for each clause C of cs, on literal masks: variable i
+    is bit 2i, its negation bit 2i + 1.  cp is in E^k_C when its mask meets
+    none of C's complement and has at most k bits outside C's mask."""
+    p, cs = list(p), list(cs)
+    bit: dict[int, int] = {}
+    for i, v in enumerate(variables(p + cs)):
+        bit[v], bit[-v] = 1 << 2 * i, 2 << 2 * i
+    encoded = [(sum(map(bit.__getitem__, cp)), cp) for cp in p]
+    edges = []
+    for c in cs:
+        outside, comp = ~sum(map(bit.__getitem__, c)), sum(bit[-x] for x in c)
+        edges.append(frozenset(cp for m, cp in encoded
+                               if not m & comp and (m & outside).bit_count() <= k))
+    return edges
 
 
 def in_hyperedge(cp: Clause, c: Clause, k: int) -> bool:
     """cp in E^k_C."""
-    return any(_edge_members(c, k, (cp,)))
+    return bool(_hyperedges((cp,), (c,), k)[0])
 
 
 def hyperedge(p: ClauseSet, c: Clause, k: int) -> frozenset[Clause]:
-    return frozenset(_edge_members(c, k, p))
+    return _hyperedges(p, (c,), k)[0]
 
 
 def trigger_hypergraph(p: ClauseSet, k: int) -> TriggerHypergraph:
     if k < 0:
         raise ValueError("k must be >= 0")
     vertices = tuple(sorted(p, key=clause_key))
-    return TriggerHypergraph(k, vertices, {c: hyperedge(p, c, k) for c in vertices})
+    return TriggerHypergraph(k, vertices, dict(zip(vertices, _hyperedges(vertices, vertices, k))))
 
 
 # Both searches run on int vertex masks: bit i stands for the i-th vertex in
@@ -235,49 +251,32 @@ def depth_k_incomparable_family(t: Tree, k: int) -> DisjointEdgeCertificate:
 
     Sperner construction: take all floor(m/2)-subsets (1-subsets when m = 1)
     of the leaves of a minimal depth-k subtree (m leaves) and transport them
-    injectively into every other depth-k subtree.  Edge members are found
-    from leaf masks alone: only the leaf sets V' = s | e with s inside V and
-    at most k leaves e outside V are candidates, so the 2^leaves - 1
-    implicates are never listed.  Each of the comb(m, r) leaf sets V builds
-    2^|V| * sum_{j <= k} C(leaves - |V|, j) implicates; more than _MAX_BUILDS
-    in all are refused up front.
+    injectively into every other depth-k subtree.  The members of each edge
+    come from one fold over the tree (`_fold_members`), so the 2^leaves - 1
+    implicates are never listed; the only ones built are the edges' own
+    clauses.  The fold's (left, right) pairs are counted across all leaf
+    sets, and more than _MAX_FOLD_PAIRS are refused: up front when the
+    comb(m, r) leaf sets times the leaves - 1 inner nodes, at least one
+    pair each, already pass it.
     """
     blocks = _depth_k_leaf_blocks(t, k)
     m = min(len(b) for b in blocks)
     r = max(m // 2, 1)  # a one-leaf block still needs a non-empty leaf set
     count = comb(m, r)
-    size = r * len(blocks)  # |V|: r leaves of each block
-    rest = sum(map(len, blocks)) - size  # the leaves outside V
-    builds = (count << size) * sum(comb(rest, j) for j in range(k + 1))
-    if builds > _MAX_BUILDS:
-        raise SizeLimitExceeded(
-            f"depth_k_incomparable_family needs more than {_MAX_BUILDS} implicate builds",
-            budget="implicate builds", limit=_MAX_BUILDS, progress=builds)
+    least = count * (sum(map(len, blocks)) - 1)
+    if least > _MAX_FOLD_PAIRS:
+        raise _too_many_pairs(least)
     subsets = [list(itertools.islice(itertools.combinations(b, r), count)) for b in blocks]
     leaf_sets = [frozenset(i for s in subsets for i in s[pos]) for pos in range(count)]
 
-    nl, implicate = _implicate_builder(t)
-    edge_clauses = []
-    members = []
+    labels = _labels(t)
+    _, implicate = _implicate_builder(t)
+    pairs = [0]
+    edge_clauses, members = [], []
     for v in leaf_sets:
         mask = sum(1 << (i - 1) for i in v)
-        c = implicate(mask)
-        # C_V' has a doping literal for every leaf of V' outside V, so the only
-        # candidates are V' = s | e with s inside V and at most k leaves e outside.
-        subs = [0]
-        for b in _bits(mask):
-            subs += [s | b for s in subs]
-        outside = [1 << i for i in range(nl) if not mask >> i & 1]
-        cands = {}  # C_V' -> the mask of V'
-        for j in range(k + 1):
-            for e in itertools.combinations(outside, j):
-                e_mask = sum(e)
-                for s in subs:
-                    mv = s | e_mask
-                    if mv:
-                        cands[implicate(mv)] = mv
-        members.append(tuple(sorted(map(cands.__getitem__, _edge_members(c, k, cands)))))
-        edge_clauses.append(c)
+        edge_clauses.append(implicate(mask))
+        members.append(_fold_members(labels, mask, k, pairs))
     # explicit pairwise disjointness check: each member belongs to one edge
     owner: dict[int, int] = {}
     for i, ms in enumerate(members):
@@ -286,3 +285,47 @@ def depth_k_incomparable_family(t: Tree, k: int) -> DisjointEdgeCertificate:
             if j != i:
                 raise AssertionError(f"hyperedges {j} and {i} share member {mv}")
     return DisjointEdgeCertificate(k, tuple(leaf_sets), tuple(edge_clauses), tuple(members))
+
+
+def _too_many_pairs(progress: int) -> SizeLimitExceeded:
+    return SizeLimitExceeded(
+        f"depth_k_incomparable_family needs more than {_MAX_FOLD_PAIRS} fold pairs",
+        budget="fold pairs", limit=_MAX_FOLD_PAIRS, progress=progress)
+
+
+def _fold_members(labels: list[int | None], mv: int, k: int, pairs: list[int]) -> tuple[int, ...]:
+    """The leaf masks V' of the members C_V' of E^k_{C_V}, V the leaf set of
+    mask mv, sorted, by one fold over the tree of these pre-order labels.
+
+    At an inner node, V and V' each meet both subtrees, one or none.  Where
+    V meets one side only and V' the other side only, C_V and C_V' clash.
+    Where V meets both sides or none and V' one side only, C_V' has an edge
+    literal outside C_V; with the doping literals of V' outside V these are
+    all of C_V' - C_V.  So a subtree's value is its leaf mask and, per cost
+    c = 0..k, the non-empty parts of V' inside it that cost c so far; the
+    empty part, of cost 0, is left implicit.  pairs[0] counts the (left,
+    right) pairs combined, and one past _MAX_FOLD_PAIRS raises."""
+    def leaf(i: int):
+        b = 1 << i
+        cost = 0 if mv & b else 1  # its doping literal
+        return b, [[b] if c == cost else [] for c in range(k + 1)]
+
+    def inner(_, left, right):
+        (lm, lp), (rm, rp) = left, right
+        pairs[0] += (1 + sum(map(len, lp))) * (1 + sum(map(len, rp)))
+        if pairs[0] > _MAX_FOLD_PAIRS:
+            raise _too_many_pairs(_MAX_FOLD_PAIRS + 1)
+        parts: list[list[int]] = [[] for _ in range(k + 1)]
+        for ca in range(k + 1):  # V' meets both sides
+            for cb in range(k + 1 - ca):
+                parts[ca + cb] += [a | b for a in lp[ca] for b in rp[cb]]
+        in_l, in_r = bool(mv & lm), bool(mv & rm)
+        for own, other, side in ((in_l, in_r, lp), (in_r, in_l, rp)):  # V' meets one side
+            if other and not own:
+                continue  # a clash
+            extra = 0 if own and not other else 1
+            for c in range(k + 1 - extra):
+                parts[c + extra] += side[c]
+        return lm | rm, parts
+
+    return tuple(sorted(itertools.chain.from_iterable(_fold(labels, leaf, inner)[1])))

@@ -472,6 +472,51 @@ def ref_certificate(t: Tree, k: int):
     return leaf_sets, tuple(clauses), tuple(members)
 
 
+# Frozen reference hyperedge: the members of E^k_C in cands, on frozensets,
+# as trigger_hypergraph, hyperedge and in_hyperedge found them before
+# repkit.trigger moved them onto literal masks.
+def ref_hyperedge(c: Clause, k: int, cands) -> frozenset[Clause]:
+    comp_c = frozenset(-x for x in c)
+    return frozenset(cp for cp in cands if not (cp & comp_c) and len(cp - c) <= k)
+
+
+# Frozen reference certificate members: depth_k_incomparable_family as it
+# was before the members came from one fold over the tree.  Each edge tries
+# every candidate V' = s | e with s inside V and at most k leaves e outside
+# V, building 2^|V| * sum_{j <= k} C(leaves - |V|, j) implicates.
+def ref_certificate_members(t: Tree, k: int):
+    """(leaf_sets, clauses, members) of the Sperner certificate."""
+    blocks = trees._depth_k_leaf_blocks(t, k)
+    m = min(len(b) for b in blocks)
+    r = max(m // 2, 1)
+    count = math.comb(m, r)
+    subsets = [list(itertools.islice(itertools.combinations(b, r), count)) for b in blocks]
+    leaf_sets = [frozenset(i for s in subsets for i in s[pos]) for pos in range(count)]
+
+    nl, implicate = trees._implicate_builder(t)
+    edge_clauses = []
+    members = []
+    for v in leaf_sets:
+        mask = sum(1 << (i - 1) for i in v)
+        c = implicate(mask)
+        subs = [0]
+        for i in range(nl):
+            if mask >> i & 1:
+                subs += [s | 1 << i for s in subs]
+        outside = [1 << i for i in range(nl) if not mask >> i & 1]
+        cands = {}  # C_V' -> the mask of V'
+        for j in range(k + 1):
+            for e in itertools.combinations(outside, j):
+                e_mask = sum(e)
+                for s in subs:
+                    mv = s | e_mask
+                    if mv:
+                        cands[implicate(mv)] = mv
+        members.append(tuple(sorted(map(cands.__getitem__, ref_hyperedge(c, k, cands)))))
+        edge_clauses.append(c)
+    return tuple(leaf_sets), tuple(edge_clauses), tuple(members)
+
+
 # Frozen reference tree walks: the recursive walks that repkit.trees,
 # repkit.trigger and repkit.bench replaced with one pre-order traversal.
 # Each recurses once per node (or per level), so they only run on small trees.

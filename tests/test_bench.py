@@ -801,6 +801,23 @@ def test_cli_trigger_refuses_a_negative_k(tmp_path, capsys):
     assert rc == 5 and err == "repkit: k must be >= 0\n"
 
 
+@pytest.mark.parametrize("args, k_tree, h, width, size", [
+    (("--tree", "2", "5", "--width", "1"), 2, 5, 1, 10),
+    (("--tree", "3", "5"), 3, 5, 2, 6),
+])
+def test_cli_trigger_tree_prints_the_certificate(capsys, args, k_tree, h, width, size):
+    """--width defaults to K - 1."""
+    rc, out = run_cli(capsys, "trigger", *args)
+    cert = rk.depth_k_incomparable_family(rk.extremal_tree(k_tree, h), width)
+    assert rc == 0 and out == cert.to_json() + "\n"
+    assert (json.loads(out)["k"], json.loads(out)["size"]) == (width, size)
+
+
+def test_cli_trigger_tree_refuses_past_the_fold_budget(capsys):
+    rc, err = run_cli_err(capsys, "trigger", "--tree", "1", "19", "--width", "0")
+    assert rc == 4 and err == "repkit: depth_k_incomparable_family needs more than 2000000 fold pairs\n"
+
+
 def test_cli_verify(capsys):
     rc, _ = run_cli(capsys, "verify", "--k", "2", "--h", "3", "--variant",
                     "1", "--level", "formulas")
@@ -864,6 +881,9 @@ def test_cli_calls_in_one_process_are_independent(tmp_path, capsys):
     ("translate", "--mode", "xor"),
     ("analyze", "f.cnf", "--measure", "nope"),
     ("verify", "--k", "2", "--h", "3"),
+    ("trigger",),
+    ("trigger", "f.cnf", "--tree", "2", "3"),
+    ("trigger", "f.cnf", "--width", "1"),
 ])
 def test_cli_argument_errors_exit_2_after_a_successful_call(capsys, args):
     assert run_cli(capsys, "stats", "--k", "2", "--h", "5")[0] == 0

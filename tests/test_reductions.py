@@ -275,9 +275,9 @@ F3 = rk.clause_set([[1, 2], [-2, 3], [-1, -3]])
      "bruteforce prime implicates over 3 variables", ("variables", 2, 3)),
     ((translate, "_MAX_EXTENSION_VARS", 2), lambda: rk.extension_property(F3, {1}),
      "extension_property enumeration too large", ("variables", 2, 3)),
-    (None, lambda: rk.depth_k_incomparable_family(rk.extremal_tree(2, 12), 1),
-     "depth_k_incomparable_family needs more than 2000000 implicate builds",
-     ("implicate builds", 2_000_000, 257_359_872)),
+    (None, lambda: rk.depth_k_incomparable_family(rk.extremal_tree(1, 19), 0),
+     "depth_k_incomparable_family needs more than 2000000 fold pairs",
+     ("fold pairs", 2_000_000, 3_510_364)),
     (None, lambda: rk.extremal_tree(2, 20000),
      "the extremal tree k=2 h=20000 has 2667066680000 literals, above the limit of 50000000",
      ("literals", 50_000_000, 2667066680000)),

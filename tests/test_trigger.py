@@ -7,8 +7,8 @@ import pytest
 
 import repkit as rk
 from helpers import (
-    all_shapes, outcome, random_clause_set, ref_certificate, ref_edge_list, ref_greedy_transversal,
-    ref_matching_number, ref_transversal_number,
+    all_shapes, outcome, random_clause_set, ref_certificate, ref_certificate_members, ref_edge_list,
+    ref_greedy_transversal, ref_hyperedge, ref_matching_number, ref_transversal_number,
 )
 from repkit import trees, trigger
 from repkit.reductions import clause_key
@@ -58,6 +58,26 @@ def test_trigger_hypergraph_structure():
     h = rk.trigger_hypergraph(p, 1)
     assert h.k == 1 and frozenset(h.vertices) == p
     assert h.edges[rk.clause(1, 2)] == frozenset({rk.clause(1, 2)})
+
+
+def test_hyperedges_match_the_frozen_reference():
+    """trigger_hypergraph, hyperedge and in_hyperedge against the frozenset
+    scan, on random clause-sets at k = 0..3, with clauses C outside P and
+    an empty P."""
+    rng = random.Random(54)
+    for _ in range(150):
+        nv = rng.randint(1, 6)
+        p = random_clause_set(rng, nv, rng.randint(0, 10), rng.randint(1, 4))
+        others = random_clause_set(rng, nv + 1, 4, 3) | {rk.clause(), frozenset({1, -1})}
+        for k in range(4):
+            h = rk.trigger_hypergraph(p, k)
+            assert h.edges == {c: ref_hyperedge(c, k, p) for c in p}
+            for c in p | others:
+                assert rk.hyperedge(p, c, k) == ref_hyperedge(c, k, p)
+                assert rk.hyperedge(frozenset(), c, k) == frozenset()
+                for cp in p | others:
+                    assert rk.in_hyperedge(cp, c, k) == bool(ref_hyperedge(c, k, (cp,)))
+    assert rk.trigger_hypergraph(frozenset(), 2).edges == {}
 
 
 def test_tau_nu_exact_small():
@@ -121,21 +141,30 @@ def test_certificate_json():
 
 
 def test_certificate_refuses_large_trees_before_allocating(monkeypatch):
-    t = rk.extremal_tree(2, 12)                  # 924 leaf sets of 12 leaves, 67 outside
-    with pytest.raises(rk.SizeLimitExceeded, match="implicate builds") as info:
-        rk.depth_k_incomparable_family(t, 1)
-    assert (info.value.budget, info.value.limit, info.value.progress) == \
-        ("implicate builds", 2_000_000, 257_359_872)
     t = rk.extremal_tree(2, 300)                 # 45,151 leaves: a count of 20,386 digits
     with pytest.raises(rk.SizeLimitExceeded, match="^depth_k_incomparable_family needs more"):
         rk.depth_k_incomparable_family(t, 0)
     sizes = [rk.depth_k_incomparable_family(rk.extremal_tree(2, h), 1).size for h in (6, 7)]
     assert sizes == [comb(6, 3), comb(7, 3)] == [20, 35]    # 22 and 29 leaves
-    t = rk.extremal_tree(2, 4)                   # 6 leaf sets, 768 builds
+    t = rk.extremal_tree(2, 4)                   # 6 leaf sets, 10 inner nodes, 477 pairs
     assert rk.depth_k_incomparable_family(t, 1).size == 6
-    monkeypatch.setattr(trigger, "_MAX_BUILDS", 767)
-    with pytest.raises(rk.SizeLimitExceeded):
+    monkeypatch.setattr(trigger, "_MAX_FOLD_PAIRS", 59)
+    with pytest.raises(rk.SizeLimitExceeded) as info:
         rk.depth_k_incomparable_family(t, 1)
+    assert (info.value.budget, info.value.limit, info.value.progress) == ("fold pairs", 59, 60)
+
+
+def test_certificate_refuses_at_the_first_fold_pair_past_the_limit(monkeypatch):
+    """Admitted up front (60 pairs at least), refused inside the fold: the
+    six folds combine 68, 85, 83, 95, 93 and 53 pairs, so the fourth one
+    passes 300."""
+    folds = _count_calls(monkeypatch, "_fold_members")
+    monkeypatch.setattr(trigger, "_MAX_FOLD_PAIRS", 300)
+    with pytest.raises(rk.SizeLimitExceeded) as info:
+        rk.depth_k_incomparable_family(rk.extremal_tree(2, 4), 1)
+    assert (info.value.budget, info.value.limit, info.value.progress) == ("fold pairs", 300, 301)
+    assert str(info.value) == "depth_k_incomparable_family needs more than 300 fold pairs"
+    assert folds[0] == 4
 
 
 @pytest.mark.parametrize("k_tree, h, size", [
@@ -156,11 +185,12 @@ def test_certificate_size_is_not_b_hk_nor_b_m(k_tree, h, size):
         assert size not in (rec.b_hk, rec.b_m)
 
 
-@pytest.mark.parametrize("k_tree, h, depth, builds", [
-    (1, 19, 0, 189_190_144), (3, 5, 0, 85_201_715_200), (1, 15, 0, 3_294_720),
+@pytest.mark.parametrize("k_tree, h, depth, pairs", [
+    (1, 19, 0, 3_510_364), (3, 5, 0, 260_015_000),
 ])
-def test_certificate_guard_counts_the_builds(monkeypatch, k_tree, h, depth, builds):
-    """Refused from the leaf blocks alone: no leaf set is formed."""
+def test_certificate_guard_counts_the_fold_pairs(monkeypatch, k_tree, h, depth, pairs):
+    """Refused from the leaf blocks alone, comb(m, r) leaf sets times the
+    leaves - 1 inner nodes: no leaf set is formed."""
     def refuse(*args):
         raise AssertionError("leaf sets formed")
 
@@ -168,7 +198,43 @@ def test_certificate_guard_counts_the_builds(monkeypatch, k_tree, h, depth, buil
     monkeypatch.setattr(itertools, "combinations", refuse)
     with pytest.raises(rk.SizeLimitExceeded) as info:
         rk.depth_k_incomparable_family(t, depth)
-    assert info.value.progress == builds
+    assert (info.value.budget, info.value.limit, info.value.progress) == \
+        ("fold pairs", 2_000_000, pairs)
+
+
+@pytest.mark.parametrize("k_tree, h, depth, size", [
+    (2, 10, 1, comb(10, 5)), (2, 11, 1, comb(11, 5)), (2, 12, 1, comb(12, 6)), (1, 15, 0, 12_870),
+])
+def test_certificate_members_are_in_their_hyperedge_and_disjoint(k_tree, h, depth, size):
+    """Trees the candidate loop refused: every member's implicate is in its
+    edge, and no member is in two edges."""
+    t = rk.extremal_tree(k_tree, h)
+    cert = rk.depth_k_incomparable_family(t, depth)
+    assert cert.size == size
+    _, implicate = trees._implicate_builder(t)
+    for c, ms in zip(cert.clauses, cert.members):
+        assert all(rk.in_hyperedge(implicate(mv), c, depth) for mv in ms)
+    flat = [mv for ms in cert.members for mv in ms]
+    assert len(flat) == len(set(flat))
+
+
+@pytest.mark.parametrize("k_tree, h, depth", [
+    *((2, h, 1) for h in range(4, 8)), (3, 4, 1), (2, 5, 2), (3, 5, 2), (2, 4, 2),
+])
+def test_certificate_matches_the_frozen_candidate_loop(k_tree, h, depth):
+    """(2, 4, 2) has a one-leaf block."""
+    t = rk.extremal_tree(k_tree, h)
+    cert = rk.depth_k_incomparable_family(t, depth)
+    assert (cert.leaf_sets, cert.clauses, cert.members) == ref_certificate_members(t, depth)
+
+
+def test_certificate_matches_the_frozen_candidate_loop_on_every_6_leaf_shape():
+    """Unbalanced trees too, at every depth above their shallowest leaf."""
+    for shape in all_shapes(6):
+        t = trees.label_bfs(shape)
+        for depth in range(min(d for s, d, _ in trees._walk(t) if s.is_leaf) + 1):
+            cert = rk.depth_k_incomparable_family(t, depth)
+            assert (cert.leaf_sets, cert.clauses, cert.members) == ref_certificate_members(t, depth)
 
 
 @pytest.mark.parametrize("k_tree, h, depth", [

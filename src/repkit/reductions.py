@@ -42,16 +42,18 @@ Prime implicates and whd run two resolution drivers over one clause
 database, `_Clauses`, which holds each clause as an int literal bitmask and
 keeps it subsumption-free with per-literal occurrence sets (Een and Biere,
 "Effective preprocessing in SAT through variable and clause elimination",
-SAT 2005).  `prime_implicates` resolves on each variable once (Tison,
-1967); `_saturate`, for whd at width k = 1, 2, ... in turn, takes the
-shortest pending clause next, as the given-clause loop does (McCune,
-OTTER 3.0, 1994), and resolves it with the database, one parent of
-length <= k.
+SAT 2005).  Its forward test ORs the occurrence sets of the literals
+outside a new clause only until they reach every clause; the bit walks
+are inline loops, with no generator resumed per bit.  `prime_implicates`
+resolves on each variable once (Tison, 1967); `_saturate`, for whd at
+width k = 1, 2, ... in turn, takes the shortest pending clause next, as
+the given-clause loop does (McCune, OTTER 3.0, 1994), and resolves it
+with the database, one parent of length <= k.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from itertools import compress, product
@@ -198,9 +200,12 @@ def hardness(f: ClauseSet) -> HardnessReport:
 def w_refutation_level(f: ClauseSet) -> int:
     """whd(F) for unsatisfiable F: minimal k admitting a k-resolution
     refutation (each step uses a parent of length <= k)."""
-    if BOT in f:
-        return 0
-    for k in range(1, len(variables(f)) + 1):
+    return 0 if BOT in f else _w_level_from(f, 1)
+
+
+def _w_level_from(f: ClauseSet, start: int) -> int:
+    """The first width k >= start at which `_saturate` refutes F."""
+    for k in range(start, len(variables(f)) + 1):
         if _saturate(f, k) is BOT_SET:
             return k
     raise ValueError("w_refutation_level requires an unsatisfiable clause-set")
@@ -212,7 +217,8 @@ def w_hardness(f: ClauseSet) -> HardnessReport:
     The level of phi_C * F is 0 if C is in F (as for hd) and 1 if r_1
     refutes it on F's trail, since 1-resolution refutes exactly what unit
     propagation refutes (WC_1 = UC_1).  Only the other instances are built
-    as images and saturated."""
+    as images and saturated, from width 2 on: the width-1 pass could not
+    refute them."""
     t = _Trail(f)
 
     def level(c: Clause) -> int:
@@ -220,7 +226,7 @@ def w_hardness(f: ClauseSet) -> HardnessReport:
             return 0
         if _level_under(t, c, 1):
             return 1
-        return w_refutation_level(apply_assignment(falsifying_assignment(c), f))
+        return _w_level_from(apply_assignment(falsifying_assignment(c), f), 2)
 
     return _max_over_prime_implicates(f, t, "whd", level)[0]
 
@@ -294,11 +300,13 @@ def prime_implicates(f: ClauseSet) -> ClauseSet:
     """primec_0(F): {bot} for unsatisfiable F, the empty set for tautologies.
 
     Tison's method (IEEE Trans. Electronic Computers EC-16, 1967): with F's
-    non-tautological clauses in a `_Clauses` database, each variable v is
-    resolved on once, every clause holding v with every one holding -v.  A
-    resolvent on v holds neither v nor -v, so one pass in any order leaves
-    exactly the prime implicates; the order is ascending |pos(v)| * |neg(v)|
-    in F, ties to the larger variable (Een and Biere's elimination order).
+    non-tautological clauses inserted shortest first into a `_Clauses`
+    database, each variable v is resolved on once, every clause holding v
+    with every one holding -v.  A resolvent on v holds neither v nor -v, so
+    one pass in any order leaves exactly the prime implicates; the order is
+    ascending |pos(v)| * |neg(v)|, counted over the subsumption-free F in
+    the database, ties to the larger variable (Een and Biere's elimination
+    order).
     Raises SizeLimitExceeded at the first distinct new resolvent past
     _MAX_RESOLVENTS.
     """
@@ -307,10 +315,10 @@ def prime_implicates(f: ClauseSet) -> ClauseSet:
         return BOT_SET
     db = _Clauses(f)
     seen = set(map(db.encode, f))
-    for c in seen:
+    for c in sorted(seen, key=int.bit_count):
         db.insert(c)
-    occ = Counter(x for c in f for x in c)
-    cost = {v: occ[v] * occ[-v] for v in db.lits[::2]}
+    occ = [s.bit_count() for s in db.occ]
+    cost = {v: occ[i] * occ[i + 1] for i, v in enumerate(db.lits) if v > 0}
     generated, clauses = 0, db.by_slot.values()
     for v in sorted(filter(cost.get, cost), key=lambda v: (cost[v], -v)):
         p, n = db.bit[v], db.bit[-v]
@@ -341,7 +349,11 @@ class _Clauses:
     holds a slot, and each literal the int set of the slots holding it.  The
     clauses inside c hold no literal outside c, and those containing c hold
     all of c's, so either subsumption test is one big-int operation per
-    literal (occurrence lists after Een and Biere, SAT 2005)."""
+    literal (occurrence lists after Een and Biere, SAT 2005).  The forward
+    test stops once the literals outside c reach every live slot: then no
+    clause lies in c.  The backward test stops once no clause is left.
+    Both walk the bits in inline loops; a generator resumed per bit cost
+    more than the tests themselves."""
 
     def __init__(self, f: Iterable[Clause]):
         self.lits = [x for v in sorted(variables(f)) for x in (v, -v)]
@@ -358,16 +370,26 @@ class _Clauses:
     def insert(self, c: int) -> bool:
         """Adds c, dropping the clauses that contain it, unless a clause of
         the database lies in c; returns whether c went in."""
-        occ, reach, over = self.occ, 0, self.live
-        for i in _bits(self.full ^ c):
-            reach |= occ[i]                           # the clauses with a literal outside c
-        if self.live & ~reach:
-            return False
-        for i in _bits(c):
-            over &= occ[i]                            # the clauses containing c
+        occ, live = self.occ, self.live
+        reach, rest = 0, self.full ^ c
+        while rest:                                   # the literals outside c
+            low = rest & -rest
+            reach |= occ[low.bit_length() - 1]
+            if reach == live:                         # every clause has one: none lies in c
+                break
+            rest ^= low
+        else:
+            if reach != live:
+                return False
+        over, rest = live, c
+        while rest and over:                          # the clauses containing c
+            low = rest & -rest
+            over &= occ[low.bit_length() - 1]
+            rest ^= low
         while over:
-            self._flip(self.by_slot[over & -over], over & -over)
-            over &= over - 1
+            low = over & -over
+            self._flip(self.by_slot[low], low)
+            over ^= low
         self._flip(c, ~self.live & (self.live + 1))   # into the lowest free slot
         return True
 
@@ -378,8 +400,11 @@ class _Clauses:
         else:
             self.by_slot[slot] = c
         self.live ^= slot
-        for i in _bits(c):
-            self.occ[i] ^= slot
+        occ = self.occ
+        while c:
+            low = c & -c
+            occ[low.bit_length() - 1] ^= slot
+            c ^= low
 
     def decode(self) -> ClauseSet:
         lit = self.lits.__getitem__

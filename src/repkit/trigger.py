@@ -304,7 +304,8 @@ def _fold_members(labels: list[int | None], mv: int, k: int, pairs: list[int]) -
     all of C_V' - C_V.  So a subtree's value is its leaf mask and, per cost
     c = 0..k, the non-empty parts of V' inside it that cost c so far; the
     empty part, of cost 0, is left implicit.  pairs[0] counts the (left,
-    right) pairs combined, and one past _MAX_FOLD_PAIRS raises."""
+    right) pairs the fold forms, those whose costs add to at most k, the
+    empty parts included, and one past _MAX_FOLD_PAIRS raises."""
     def leaf(i: int):
         b = 1 << i
         cost = 0 if mv & b else 1  # its doping literal
@@ -312,7 +313,8 @@ def _fold_members(labels: list[int | None], mv: int, k: int, pairs: list[int]) -
 
     def inner(_, left, right):
         (lm, lp), (rm, rp) = left, right
-        pairs[0] += (1 + sum(map(len, lp))) * (1 + sum(map(len, rp)))
+        below = list(itertools.accumulate(map(len, rp), initial=1))  # right parts costing < c + 1
+        pairs[0] += sum((len(lp[ca]) + (not ca)) * below[k + 1 - ca] for ca in range(k + 1))
         if pairs[0] > _MAX_FOLD_PAIRS:
             raise _too_many_pairs(_MAX_FOLD_PAIRS + 1)
         parts: list[list[int]] = [[] for _ in range(k + 1)]

@@ -15,6 +15,7 @@ from helpers import (
     random_dnf,
     ref_p_hardness,
     ref_relative_hardness,
+    ref_image_w_hardness,
     ref_saturate,
     whd_by_closure,
 )
@@ -201,6 +202,31 @@ def test_width_1_refutations_are_unit_refutations():
         assert (rk.w_refutation_level(f) == 1) == unit, sorted(map(sorted, f))
         seen.add(unit)
     assert seen == {False, True}
+
+
+def test_w_hardness_saturates_from_width_2(monkeypatch):
+    """Only the instances r_1 leaves open are saturated, and width 1 cannot
+    refute those (WC_1 = UC_1), so no width-1 pass runs; the values and
+    witnesses are those of the image-by-image reference."""
+    rng = random.Random(31)
+    sets = [random_clause_set(rng, nv, rng.randint(nv, 4 * nv), 3)
+            for nv in (rng.randint(2, 6) for _ in range(120))]
+    sets += [rk.two_xor_system(3), rk.two_xor_system(4),
+             rk.doped_tree(rk.extremal_tree(2, 3)).clauses]
+    widths = []
+    kernel = reductions._saturate
+
+    def spy(f, k):
+        widths.append(k)
+        return kernel(f, k)
+
+    for f in sets:
+        want = ref_image_w_hardness(f)
+        with monkeypatch.context() as mp:
+            mp.setattr(reductions, "_saturate", spy)
+            assert rk.w_hardness(f) == want, sorted(map(sorted, f))
+    assert widths and min(widths) == 2
+    assert max(rk.w_hardness(f).value for f in sets) == 3
 
 
 def test_w_refutation_level_skips_the_width_0_pass(monkeypatch):
@@ -420,6 +446,44 @@ def test_saturate_equals_frozen_kernel():
     ladder = (0, 1, 2, 3, 5, 8, 13, 30, 100)
     assert_kernel_matches_frozen(rk.two_xor_system(4), ladder)
     assert_kernel_matches_frozen(rk.doped_tree(rk.label_bfs(all_shapes(8)[100])).clauses, ladder)
+
+
+def test_clauses_database_matches_a_frozenset_oracle():
+    """_Clauses against a subsumption-free set of frozensets, over random
+    insert sequences with repeats, the empty clause and an empty database:
+    after every insert, its return value, decode(), the slots and every
+    occurrence set.  The forward test stops once the literals outside c
+    reach every clause; a clause that went in takes the lowest slot left
+    free once the clauses containing it are out."""
+    rng = random.Random(30)
+    refilled = 0
+    for i in range(400):
+        nv = rng.randint(1, 7)
+        pool = list(random_clause_set(rng, nv, rng.randint(1, 4 * nv), rng.randint(1, 5)))
+        if i % 5 == 0:
+            pool.append(rk.BOT)
+        db = reductions._Clauses(frozenset(pool))
+        assert db.decode() == frozenset() and not db.live
+        want: set = set()
+        for c in rng.choices(pool, k=rng.randint(1, 3 * len(pool))):
+            went = not any(d <= c for d in want)
+            over = [slot for slot, d in db.by_slot.items() if db.encode(c) & d == db.encode(c)]
+            kept = db.live & ~sum(over) if went else db.live
+            assert db.insert(db.encode(c)) == went, (sorted(map(sorted, pool)), sorted(c))
+            if went:
+                want = {d for d in want if not c <= d} | {c}
+                slot = ~kept & (kept + 1)
+                assert db.by_slot[slot] == db.encode(c)
+                refilled += slot < kept
+            assert db.decode() == frozenset(want)
+            assert db.live == sum(db.by_slot) == kept | (slot if went else 0)
+            for j in range(len(db.lits)):
+                assert db.occ[j] == sum(s for s, d in db.by_slot.items() if d >> j & 1)
+    assert refilled > 100
+    db = reductions._Clauses(frozenset())
+    assert (db.lits, db.decode()) == ([], frozenset())
+    assert db.insert(0) and db.decode() == rk.BOT_SET
+    assert not db.insert(0) and db.decode() == rk.BOT_SET
 
 
 def test_essential_prime_implicates():

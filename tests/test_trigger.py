@@ -146,7 +146,7 @@ def test_certificate_refuses_large_trees_before_allocating(monkeypatch):
         rk.depth_k_incomparable_family(t, 0)
     sizes = [rk.depth_k_incomparable_family(rk.extremal_tree(2, h), 1).size for h in (6, 7)]
     assert sizes == [comb(6, 3), comb(7, 3)] == [20, 35]    # 22 and 29 leaves
-    t = rk.extremal_tree(2, 4)                   # 6 leaf sets, 10 inner nodes, 477 pairs
+    t = rk.extremal_tree(2, 4)                   # 6 leaf sets, 10 inner nodes, 361 pairs
     assert rk.depth_k_incomparable_family(t, 1).size == 6
     monkeypatch.setattr(trigger, "_MAX_FOLD_PAIRS", 59)
     with pytest.raises(rk.SizeLimitExceeded) as info:
@@ -156,7 +156,7 @@ def test_certificate_refuses_large_trees_before_allocating(monkeypatch):
 
 def test_certificate_refuses_at_the_first_fold_pair_past_the_limit(monkeypatch):
     """Admitted up front (60 pairs at least), refused inside the fold: the
-    six folds combine 68, 85, 83, 95, 93 and 53 pairs, so the fourth one
+    six folds form 53, 64, 64, 68, 68 and 44 pairs, so the fifth one
     passes 300."""
     folds = _count_calls(monkeypatch, "_fold_members")
     monkeypatch.setattr(trigger, "_MAX_FOLD_PAIRS", 300)
@@ -164,7 +164,31 @@ def test_certificate_refuses_at_the_first_fold_pair_past_the_limit(monkeypatch):
         rk.depth_k_incomparable_family(rk.extremal_tree(2, 4), 1)
     assert (info.value.budget, info.value.limit, info.value.progress) == ("fold pairs", 300, 301)
     assert str(info.value) == "depth_k_incomparable_family needs more than 300 fold pairs"
-    assert folds[0] == 4
+    assert folds[0] == 5
+
+
+def test_certificate_counts_only_the_pairs_the_fold_forms(monkeypatch):
+    """Pairs whose costs add past k are never formed, and not counted: at
+    width 3 extremal_tree(4, 6) forms 95,804 pairs (8.0M counting every
+    pair) for its 6 edges, while extremal_tree(2, 14) at width 1 is still
+    refused inside the fold."""
+    t = rk.extremal_tree(4, 6)
+    cert = rk.depth_k_incomparable_family(t, 3)
+    assert cert.size == 6
+    _, implicate = trees._implicate_builder(t)
+    for c, ms in zip(cert.clauses, cert.members):
+        assert all(rk.in_hyperedge(implicate(mv), c, 3) for mv in ms[::97])
+    flat = [mv for ms in cert.members for mv in ms]
+    assert len(flat) == len(set(flat)) == 64_031
+    monkeypatch.setattr(trigger, "_MAX_FOLD_PAIRS", 95_803)
+    with pytest.raises(rk.SizeLimitExceeded) as info:
+        rk.depth_k_incomparable_family(t, 3)
+    assert (info.value.limit, info.value.progress) == (95_803, 95_804)
+    monkeypatch.undo()
+    with pytest.raises(rk.SizeLimitExceeded) as info:
+        rk.depth_k_incomparable_family(rk.extremal_tree(2, 14), 1)
+    assert (info.value.budget, info.value.limit, info.value.progress) == \
+        ("fold pairs", 2_000_000, 2_000_001)
 
 
 @pytest.mark.parametrize("k_tree, h, size", [

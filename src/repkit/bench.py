@@ -16,9 +16,9 @@ of T.  Generation is bit-deterministic.
 `_layout` is the one record of an instance's layout: a flat literal stream
 of every clause in emission order, ascending by variable (BFS labels grow
 along a path; doping and selector variables lie above every label), a 0
-after each, and the clause lengths.  `instance_dimacs` writes it in one
-join, building and sorting no clause, and `generate` reads its frozensets
-off slices of it.
+after each, and the clause lengths; it builds no tree (`_extremal_paths`).
+`instance_dimacs` writes the stream in one join, building and sorting no
+clause, and `generate` reads its frozensets off slices of it.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from operator import neg
 from . import __version__
 from .core import Clause, SizeLimitExceeded, _dimacs_text, _nogc, _stream_clauses
 from .translate import _selector_clauses, _selector_translation
-from .trees import _MAX_LITERALS, _leaf_depth_sum, _leaf_paths, alpha, extremal_tree
+from .trees import _MAX_LITERALS, _extremal_paths, _leaf_depth_sum, alpha
 
 #: A tree-resolution refutation as index chains, in the manner of LRAT
 #: hints.  Clause i < len(F) is the input clause F[i]; chain j derives
@@ -98,13 +98,12 @@ def _layout(spec: InstanceSpec) -> tuple[list[int], list[int]]:
     by variable and then 0, in emission order, plus the clause lengths.
     Raises SizeLimitExceeded, before building anything, when the closed form
     counts more than _MAX_LITERALS literals.  The collector is paused: the
-    tree and the path tuples would start collections that walk every clause
-    the caller holds."""
+    path tuples would start young-generation collections."""
     l = stats(spec).l
     if l > _MAX_LITERALS:
         raise SizeLimitExceeded(f"{spec.name} has {l} literals, above the limit of {_MAX_LITERALS}",
                                 budget="literals", limit=_MAX_LITERALS, progress=l)
-    paths = list(_leaf_paths(extremal_tree(spec.k, spec.h)))
+    paths = _extremal_paths(spec.k, spec.h)
     a = len(paths)                     # labels 1..a-1, so leaf i is doped with a + i
     stream: list[int] = []
     for u, p in enumerate(paths, a):   # BFS labels grow along a path, and u lies above them
@@ -280,7 +279,7 @@ def verify(spec: InstanceSpec, level: str = "formulas") -> dict:
         "instance": spec.name,
         "n": (n, rec.n),
         "c": (len(clauses), rec.c),
-        "l": (sum(len(c) for c in clauses), rec.l),
+        "l": (sum(map(len, clauses)), rec.l),
         "distinct": len(set(clauses)) == len(clauses),
     }
     report["ok"] = (report["distinct"]

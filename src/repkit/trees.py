@@ -9,7 +9,8 @@ Leaves are numbered 1..#leaves in left-to-right (in-order) order; extremal
 trees get their inner labels breadth-first.  One traversal owns that order:
 _walk, a pre-order walk on an explicit stack.  Every walk over a Tree goes
 through it (the bottom-up ones through _fold), and nothing here recurses,
-so trees of any depth are handled.
+so trees of any depth are handled.  _extremal_paths walks shape pairs, not
+a Tree: it reads the extremal leaf paths off the shape recurrence.
 
 doped_tree(T) is dope(smuo(T)) in leaf order; clause_for_leaves and
 _implicate_builder give its prime implicates C_V in closed form.
@@ -256,6 +257,31 @@ def label_bfs(shape: Tree, first: int = 1) -> Tree:
 
 def extremal_tree(k: int, h: int) -> Tree:
     return label_bfs(extremal_shape(k, h))
+
+
+def _extremal_paths(k: int, h: int) -> list[tuple[int, ...]]:
+    """list(_leaf_paths(extremal_tree(k, h))), building no Tree and checking
+    no size.  The nodes at depth d are _extremal_fold's pairs (g, h - d): a
+    breadth-first count of them gives each depth's first label, and a
+    pre-order walk, which meets a depth's nodes in BFS order, takes them."""
+    _check_pair(k, h)
+    nxt, row = [1], [0] * k + [1]  # row[g]: how many pairs (g, j) lie at depth h - j
+    for j in range(h, 0, -1):
+        nxt.append(nxt[-1] + sum(row[1:]))
+        below = row[1:] + [0]  # the right children (g - 1, j - 1), then the left ones
+        for g in range(1, k + 1):
+            below[min(g, j - 1)] += row[g]
+        row = below
+    paths, stack = [], [(k, 0, ())]  # (g, depth, edge literals down to it)
+    while stack:
+        g, d, p = stack.pop()
+        if not g:
+            paths.append(p)
+            continue
+        v = nxt[d]
+        nxt[d] = v + 1
+        stack += ((g - 1, d + 1, p + (-v,)), (min(g, h - d - 1), d + 1, p + (v,)))
+    return paths
 
 
 # ---------------------------------------------------------------------------

@@ -456,6 +456,37 @@ def test_the_certificate_builds_no_tree(monkeypatch):
         assert calls == [] and bench._check_refutation(clauses, proof, level) == level
 
 
+def test_the_layout_builds_no_tree(monkeypatch):
+    """generate, instance_dimacs and verify read the leaf paths off the
+    shape recurrence: with every tree builder made to raise, they give what
+    they gave before."""
+    specs = [bench.InstanceSpec(*row) for row in VERIFIED_SPECS]
+    want = [(ref_generate(spec), bench.instance_dimacs(spec)) for spec in specs]
+
+    def refuse(*args):
+        raise AssertionError("a tree was built")
+
+    for name in ("extremal_shape", "label_bfs", "extremal_tree"):
+        monkeypatch.setattr(trees, name, refuse)
+    for spec, (clauses, text) in zip(specs, want):
+        assert bench.generate(spec) == clauses and bench.instance_dimacs(spec) == text
+        assert bench.verify(spec, "hardness")["ok"] is True
+
+
+def test_the_literal_limit_is_checked_before_the_paths_are_read(monkeypatch):
+    spec = bench.InstanceSpec(2, 5, 2)
+    calls = []
+    paths = bench._extremal_paths
+    monkeypatch.setattr(bench, "_extremal_paths", lambda *args: calls.append(args) or paths(*args))
+    monkeypatch.setattr(bench, "_MAX_LITERALS", bench.stats(spec).l - 1)
+    with pytest.raises(core.SizeLimitExceeded):
+        bench.generate(spec)
+    assert calls == []
+    monkeypatch.setattr(bench, "_MAX_LITERALS", bench.stats(spec).l)
+    bench.generate(spec)
+    assert calls == [(2, 5)]
+
+
 def no_clash(level, proof, m):
     (start, [_, *rest]), *chains = proof
     return level, [(start, [start, *rest]), *chains]

@@ -306,6 +306,17 @@ def test_extremal_shape_matches_frozen_recursion():
         assert outcome(rk.extremal_shape, k, h) == outcome(ref_extremal_shape, k, h)
 
 
+def test_extremal_paths_are_the_leaf_paths_of_the_extremal_tree():
+    """The walk over shape pairs gives the BFS-labelled tree's leaf paths,
+    in leaf order, for every valid pair up to k = 5, h = k + 11, the lone
+    leaf and a comb of height 200; it refuses the pairs extremal_shape does."""
+    pairs = [(k, h) for k in range(1, 6) for h in range(k, k + 12)] + [(0, 0), (1, 200)]
+    for k, h in pairs:
+        assert trees._extremal_paths(k, h) == list(trees._leaf_paths(rk.extremal_tree(k, h))), (k, h)
+    for k, h in [(-1, 3), (3, 2), (0, 1)]:
+        assert outcome(trees._extremal_paths, k, h) == outcome(rk.extremal_shape, k, h)
+
+
 def comb_tree(depth: int, left: bool) -> rk.Tree:
     """A comb of the given height, growing down the left or right edge."""
     t = rk.LEAF
